@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
@@ -156,7 +156,7 @@ class BDSController(OverlayStrategy):
             if self.config.speculation_horizon > 0
             else None
         )
-        self._previous_directives: List[TransferDirective] = []
+        self._previous_directives: Sequence[TransferDirective] = []
         # Sharded control plane (shards > 1): per-shard pipelines, the
         # memoized job→shard assignment (sticky — possession state lives
         # where the job lives), the lazily started execution backends
@@ -251,7 +251,7 @@ class BDSController(OverlayStrategy):
             return shard
         return stable_shard(job_id, self.config.shards, self.config.shard_seed)
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
+    def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
         """One control cycle: schedule, route, emit directives.
 
         When ``view.controller_available`` is false the decentralized
@@ -330,7 +330,9 @@ class BDSController(OverlayStrategy):
             )
         )
         self._previous_directives = directives
-        return directives + fallback_directives
+        if fallback_directives:
+            return list(directives) + fallback_directives
+        return directives
 
     # -- sharded control plane -------------------------------------------------
 

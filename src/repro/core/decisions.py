@@ -11,7 +11,9 @@ benchmarks (Fig. 11a, 13a).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.net.simulator import TransferDirective
 from repro.overlay.blocks import Block
@@ -42,26 +44,26 @@ class SelectionBatch:
     """Integer companion of a scheduler selection list.
 
     Produced by the vectorized scheduling kernel alongside its
-    :class:`ScheduledBlock` list: row ``i`` of these parallel columns
-    describes ``selections[i]`` in the possession matrix's interned id
-    space (see :class:`repro.overlay.store.PossessionMatrix`). The router
-    consumes it to build commodity groups without re-hashing string
-    server ids — group keys, source picks, and path-memo lookups all run
-    on small ints; names are materialized once per final group.
+    :class:`ScheduledBlock` list: row ``i`` of these parallel int64
+    columns describes ``selections[i]`` in the possession matrix's
+    interned id space (see :class:`repro.overlay.store.PossessionMatrix`).
+    The router consumes it to pick sources and merge commodity groups as
+    array kernels without re-hashing string ids; names are materialized
+    once per final group.
     """
 
     #: The view's job list; ``job_slots`` indexes into it.
     jobs: List[MulticastJob]
     #: Per-row interned block column id.
-    gids: List[int]
+    gids: np.ndarray
     #: Per-row block index within its job.
-    indices: List[int]
+    indices: np.ndarray
     #: Per-row destination server id.
-    dst_sids: List[int]
+    dst_sids: np.ndarray
     #: Per-row destination DC id.
-    dc_gids: List[int]
+    dc_gids: np.ndarray
     #: Per-row index into ``jobs``.
-    job_slots: List[int]
+    job_slots: np.ndarray
 
 
 @dataclass
@@ -69,7 +71,7 @@ class ControlDecision:
     """The controller's output for one cycle."""
 
     cycle: int
-    directives: List[TransferDirective] = field(default_factory=list)
+    directives: Sequence[TransferDirective] = field(default_factory=list)
     scheduled_blocks: int = 0
     num_commodities: int = 0
     schedule_runtime: float = 0.0

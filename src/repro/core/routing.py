@@ -14,9 +14,20 @@ Given the scheduling step's block selections, the router:
    * ``fptas``   — Garg–Könemann ε-approximation (the paper's choice);
    * ``lp``      — exact LP via scipy/HiGHS (slowest; optimality yardstick);
 
-4. converts per-path rates into rate-capped single-hop
-   :class:`~repro.net.simulator.TransferDirective`s, splitting each merged
-   group's blocks across its sources in proportion to the allocated rates.
+4. converts per-path rates into rate-capped single-hop transfer orders,
+   splitting each merged group's blocks across its sources in proportion
+   to the allocated rates, and returns them as one
+   :class:`~repro.net.simulator.DirectiveBatch` — parallel arrays of job,
+   source and destination server ids, rate caps, and a CSR of block ids
+   per directive, in the interned id space the router worked in. The
+   simulator validates and builds flows on those arrays; every other
+   consumer reads the batch as a ``Sequence[TransferDirective]``.
+
+Steps 1, 2 and the block order of step 4 run as array kernels over the
+possession matrix's interned ids (one rows × servers holder gather,
+per-(row, DC) runs for the picks, one sort for the merge, one argsort
+for the rotation and partial-first order); Python work is per commodity
+(the solver) and per block only in the rate-proportional deal.
 """
 
 from __future__ import annotations
@@ -33,9 +44,13 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import RoutingWarmStore
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.simulator import (
+    ClusterView,
+    DirectiveBatch,
+    IdSpace,
+    remaining_bytes,
+)
 from repro.net.topology import ResourceKey
-from repro.overlay.blocks import Block
 from repro.utils.validation import check_positive
 
 BlockId = Tuple[str, int]
@@ -97,6 +112,9 @@ class BDSRouter:
         # per-cycle CycleCache) so it survives speculation overlays, which
         # rebuild their caches every cycle.
         self._warm = RoutingWarmStore()
+        # Block size per block id of the last matrix routed over (NaN
+        # until first seen), so row sizes are one gather.
+        self._sizes = _SizeTable()
 
     # -- public API -------------------------------------------------------
 
@@ -105,22 +123,23 @@ class BDSRouter:
         view: ClusterView,
         selections: Sequence[ScheduledBlock],
         batch: Optional[SelectionBatch] = None,
-    ) -> Tuple[List[TransferDirective], RoutingDiagnostics]:
+    ) -> Tuple[DirectiveBatch, RoutingDiagnostics]:
         """Allocate paths and rates for the scheduled blocks.
 
         ``batch`` is the scheduler's integer companion of ``selections``
         (present when the vectorized kernel produced them): with it, the
-        source-candidate picks and the §5.1 merge run on interned ids —
-        int group keys, int path/source memos — and server names are only
-        materialized once per final group. Groups, commodities, and
-        directives are identical with or without it.
+        rows are the batch's interned ids and holder sets one possession
+        gather; without it they are interned here. Groups, commodities,
+        and directives are identical either way. The directives come back
+        as a :class:`~repro.net.simulator.DirectiveBatch` in the id space
+        the router worked in.
         """
         started = _time.perf_counter()
         if not selections:
             # Nothing scheduled: the (empty) output reads no draining
             # quantity, so it stays exact for as long as the validity key
             # holds — unbounded reuse horizon.
-            return [], RoutingDiagnostics(
+            return DirectiveBatch.empty(), RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=0,
                 num_commodities=0,
@@ -129,17 +148,10 @@ class BDSRouter:
                 reuse_horizon=None,
             )
 
-        if (
-            batch is not None
-            and len(batch.gids) == len(selections)
-            and getattr(view.store, "is_exact_matrix", False)
-        ):
-            groups = self._build_groups_batched(view, selections, batch)
-        else:
-            groups = self._build_groups(view, selections)
-        commodities, group_blocks = self._build_commodities(view, groups)
+        groups = self._build_groups(view, selections, batch)
+        commodities, kept = self._build_commodities(view, groups)
         if not commodities:
-            return [], RoutingDiagnostics(
+            return DirectiveBatch.empty(groups.rows.space), RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=len(selections),
                 num_commodities=0,
@@ -149,7 +161,7 @@ class BDSRouter:
             )
 
         rates, solver = self._solve(view, commodities, view.bulk_capacities)
-        directives = self._to_directives(view, commodities, group_blocks, rates)
+        directives = self._to_directives(commodities, groups, kept, rates)
         objective = sum(rates.values())
         return directives, RoutingDiagnostics(
             backend=self.backend,
@@ -165,249 +177,120 @@ class BDSRouter:
 
     # -- step 1 & 2: source candidates and merging -------------------------------
 
-    def _candidate_sources(
-        self, view: ClusterView, entry: ScheduledBlock
-    ) -> Tuple[str, ...]:
-        """Up to ``max_sources_per_group`` diverse source servers.
-
-        Preference order: a holder in the destination's own DC (cheap
-        intra-DC copy), then holders spread across distinct DCs; rotation by
-        block index spreads different blocks over different holders of the
-        same DC, creating Type II path diversity.
-        """
-        holders = [
-            s
-            for s in view.eligible_sources(entry.block.block_id)
-            if s != entry.dst_server
-            # Failure-aware: a holder partitioned away from the destination
-            # is not a usable source this cycle (§5.3).
-            and view.flow_resources(s, entry.dst_server) is not None
-        ]
-        if not holders:
-            return ()
-        holders.sort()
-        by_dc: Dict[str, List[str]] = {}
-        for holder in holders:
-            by_dc.setdefault(view.store.dc_of(holder), []).append(holder)
-
-        picked: List[str] = []
-        dst_dc = entry.dst_dc
-        if dst_dc in by_dc:
-            local = by_dc[dst_dc]
-            picked.append(local[entry.block.index % len(local)])
-        # Round-robin over the other DCs, starting at a block-dependent
-        # offset so consecutive blocks favour different source DCs.
-        other_dcs = sorted(dc for dc in by_dc if dc != dst_dc)
-        if other_dcs:
-            start = entry.block.index % len(other_dcs)
-            ordered = other_dcs[start:] + other_dcs[:start]
-            for dc in ordered:
-                if len(picked) >= self.max_sources_per_group:
-                    break
-                servers = by_dc[dc]
-                candidate = servers[entry.block.index % len(servers)]
-                if candidate not in picked:
-                    picked.append(candidate)
-        return tuple(picked[: self.max_sources_per_group])
-
     def _build_groups(
-        self, view: ClusterView, selections: Sequence[ScheduledBlock]
-    ) -> Dict[GroupKey, List[ScheduledBlock]]:
-        """Merge selections by (job, destination, source set) — §5.1.
-
-        With merging disabled every block becomes its own group, which is
-        the configuration the merging ablation benchmark exercises.
-        """
-        groups: Dict[GroupKey, List[ScheduledBlock]] = {}
-        for i, entry in enumerate(selections):
-            sources = self._candidate_sources(view, entry)
-            if not sources:
-                continue
-            if self.merge_blocks:
-                key = (entry.job_id, entry.dst_server, sources)
-            else:
-                key = (entry.job_id, f"{entry.dst_server}#{i}", sources)
-            groups.setdefault(key, []).append(entry)
-        return groups
-
-    def _build_groups_batched(
         self,
         view: ClusterView,
         selections: Sequence[ScheduledBlock],
-        batch: SelectionBatch,
-    ) -> Dict[GroupKey, List[ScheduledBlock]]:
-        """Interned-id twin of ``_build_groups`` + ``_candidate_sources``.
+        batch: Optional[SelectionBatch] = None,
+    ) -> "_Groups":
+        """Pick sources per selection and merge by (job, destination,
+        source set) — §5.1 — as array kernels over interned ids.
 
-        Same pick logic, run on small ints and batched holder lookups:
+        **Source picks.** Per row, up to ``max_sources_per_group`` usable
+        holders: a holder in the destination's own DC (cheap intra-DC
+        copy), then holders round-robin over the other DCs in ascending DC
+        order, starting at a block-index-dependent DC; within a DC the
+        block index picks among its holders in ascending server order
+        (rotation spreads blocks over holders — Type II path diversity).
+        A holder is *usable* when it is healthy, is not the destination,
+        and has a failure-aware path to it (§5.3). The whole selection is
+        one list of (row, holder) pairs — a rows × servers possession
+        gather, filtered by the cached (src, dst) reachability table and
+        ``src != dst`` — sorted so each (row, DC) is one run; run lengths
+        and starts locate every pick (:func:`_pick_sources`).
 
-        * Holder sets for every distinct selected block come from **one**
-          gather against the possession matrix per cycle (a servers ×
-          unique-blocks bit test), with failed agents masked out, instead
-          of a per-selection column scan. Ascending server id *is* the
-          lexicographic ``holders.sort()`` of the scalar path (server
-          interning is in sorted-name order).
-        * The actual source pick is memoized **content-addressed** in
-          ``CycleCache.picks``: the key is the block's packed holder
-          bitmask plus (destination id, block index), so the memo
-          survives store-epoch bumps — possession churn simply addresses
-          new entries — and steady-state cycles rebuild almost no picks.
-          Path reachability is baked into stored picks, hence the memo's
-          validity key is the *path* key (topology epoch, failed links).
-        * On a memo miss, the per-(src, dst) path probe goes through an
-          int-keyed memo (``CycleCache.paths_ids``) in front of
-          ``view.flow_resources``; DC grouping uses the matrix's
-          server→DC id table.
-
-        Group keys are int tuples during the loop; the string
-        :data:`GroupKey` is built once per group, in first-hit order, so
-        the resulting dict iterates exactly like the scalar build's.
+        **Merge.** One stable sort over a packed (job slot, destination,
+        picked sources) key labels the groups in first-hit order (the
+        rarity order the solver consumes), members in selection order.
+        With merging disabled every row is its own group, which is what
+        the merging ablation benchmark exercises.
         """
-        matrix = view.store.matrix
-        names = matrix.server_names
-        num_servers = matrix.num_servers
-        dc_of_sid = matrix.server_dc_list
-        cache = view._cache
-        if cache is not None:
-            cache.validate_paths(view.topology.epoch, view.failed_links)
-            paths_ids = cache.paths_ids
-            picks = cache.validate_picks(
-                view.topology.epoch,
-                view.failed_links,
-                self.max_sources_per_group,
-            )
-        else:
-            paths_ids = {}
-            picks = {}
-        failed_sids = sorted(
-            matrix.server_ids[s]
-            for s in view.failed_agents
-            if s in matrix.server_ids
+        rows = _selection_rows(view, selections, batch, self._sizes)
+        space = rows.space
+        num_servers = len(space.server_names)
+        picks, count = _pick_sources(
+            _usable_pairs(view, rows), rows, self.max_sources_per_group
         )
-        flow_resources = view.flow_resources
-        max_sources = self.max_sources_per_group
-        merge = self.merge_blocks
-        jobs = batch.jobs
-        job_ids = [job.job_id for job in jobs]
-
-        # One batched possession gather for all distinct selected blocks:
-        # present[s, u] == server s holds unique block u (failed masked).
-        gids_arr = np.asarray(batch.gids, dtype=np.int64)
-        uniq, inverse = np.unique(gids_arr, return_inverse=True)
-        holder_masks = (np.uint64(1) << (uniq & 63).astype(np.uint64))
-        present = (matrix.bits[:, uniq >> 6] & holder_masks) != 0
-        if failed_sids:
-            present[failed_sids, :] = False
-        # Per-unique-block memo keys: the packed holder bitmask bytes.
-        packed = np.ascontiguousarray(np.packbits(present, axis=0).T)
-        sigs = [packed[u].tobytes() for u in range(len(uniq))]
-        holder_lists: List[Optional[List[int]]] = [None] * len(uniq)
-        inv = inverse.tolist()
-
-        groups: Dict[GroupKey, List[ScheduledBlock]] = {}
-        labels: Dict[Tuple, GroupKey] = {}
-        members: Dict[Tuple, List[ScheduledBlock]] = {}
-        b_idx = batch.indices
-        b_dst = batch.dst_sids
-        b_dc = batch.dc_gids
-        b_slot = batch.job_slots
-        picks_get = picks.get
-        members_get = members.get
-        for i, entry in enumerate(selections):
-            dst_sid = b_dst[i]
-            idx = b_idx[i]
-            u = inv[i]
-            pick_key = (sigs[u], dst_sid, idx)
-            sources = picks_get(pick_key)
-            if sources is None:
-                holders = holder_lists[u]
-                if holders is None:
-                    holders = np.nonzero(present[:, u])[0].tolist()
-                    holder_lists[u] = holders
-                usable: List[int] = []
-                for h in holders:
-                    if h == dst_sid:
-                        continue
-                    pkey = h * num_servers + dst_sid
-                    try:
-                        path = paths_ids[pkey]
-                    except KeyError:
-                        path = flow_resources(names[h], names[dst_sid])
-                        paths_ids[pkey] = path
-                    if path is None:
-                        continue
-                    usable.append(h)
-                by_dc: Dict[int, List[int]] = {}
-                for h in usable:
-                    by_dc.setdefault(dc_of_sid[h], []).append(h)
-                picked: List[int] = []
-                dst_dc_gid = b_dc[i]
-                local = by_dc.get(dst_dc_gid)
-                if local is not None:
-                    picked.append(local[idx % len(local)])
-                other_dcs = sorted(d for d in by_dc if d != dst_dc_gid)
-                if other_dcs:
-                    start = idx % len(other_dcs)
-                    for d in other_dcs[start:] + other_dcs[:start]:
-                        if len(picked) >= max_sources:
-                            break
-                        servers = by_dc[d]
-                        candidate = servers[idx % len(servers)]
-                        if candidate not in picked:
-                            picked.append(candidate)
-                sources = tuple(picked[:max_sources])
-                picks[pick_key] = sources
-            if not sources:
-                continue
-            if merge:
-                ikey = (b_slot[i], dst_sid, sources)
-            else:
-                ikey = (i,)
-            entries = members_get(ikey)
-            if entries is None:
-                name_sources = tuple(names[s] for s in sources)
-                dst_label = (
-                    names[dst_sid] if merge else f"{names[dst_sid]}#{i}"
+        keep = (count > 0).nonzero()[0]
+        if not self.merge_blocks:
+            members = heads = keep
+            offsets = np.arange(len(keep) + 1, dtype=np.int64)
+        else:
+            cols = [rows.slot[keep], rows.dst[keep]]
+            cols.extend(picks[keep, c] + 1 for c in range(picks.shape[1]))
+            radix = num_servers + 1
+            if len(rows.job_ids) * radix ** len(cols) < 1 << 62:
+                key = cols[0]
+                for col in cols[1:]:
+                    key = key * radix + col
+            else:  # pragma: no cover - needs a huge cluster or fan-out
+                _u, key = np.unique(
+                    np.stack(cols, axis=1), axis=0, return_inverse=True
                 )
-                labels[ikey] = (job_ids[b_slot[i]], dst_label, name_sources)
-                entries = members[ikey] = []
-            entries.append(entry)
-        for ikey, entries in members.items():
-            groups[labels[ikey]] = entries
-        return groups
+                key = key.reshape(-1)
+            label, first = _first_hit_labels(key)
+            members = keep[label.argsort(kind="stable")]
+            heads = keep[first]
+            offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+            np.bincount(label, minlength=len(heads)).cumsum(out=offsets[1:])
+
+        names = space.server_names
+        job_ids = rows.job_ids
+        slots = rows.slot[heads].tolist()
+        dsts = rows.dst[heads].tolist()
+        counts = count[heads].tolist()
+        pick_rows = picks[heads].tolist()
+        keys: List[GroupKey] = []
+        sources: List[Tuple[int, ...]] = []
+        for g, head in enumerate(heads.tolist()):
+            picked = tuple(pick_rows[g][: counts[g]])
+            dst_name = names[dsts[g]]
+            label_ = dst_name if self.merge_blocks else f"{dst_name}#{head}"
+            keys.append(
+                (job_ids[slots[g]], label_, tuple(names[s] for s in picked))
+            )
+            sources.append(picked)
+        return _Groups(
+            rows=rows,
+            keys=keys,
+            dst=dsts,
+            sources=sources,
+            offsets=offsets,
+            members=members,
+        )
 
     # -- step 3: commodity construction and solving -------------------------------
 
     def _build_commodities(
-        self,
-        view: ClusterView,
-        groups: Mapping[GroupKey, List[ScheduledBlock]],
-    ) -> Tuple[List[Commodity], Dict[GroupKey, List[Block]]]:
+        self, view: ClusterView, groups: "_Groups"
+    ) -> Tuple[List[Commodity], List[int]]:
+        """One commodity per group with bytes left to move.
+
+        Demand is the group's remaining bytes over ΔT; returns the
+        commodities and, aligned with them, their group indices.
+        """
+        rows = groups.rows
+        members = groups.members
+        remaining = remaining_bytes(
+            rows.sizes[members], rows.buffered[members], groups.offsets
+        )
+        width = len(rows.space.server_names)
+        memo = rows.paths
         commodities: List[Commodity] = []
-        group_blocks: Dict[GroupKey, List[Block]] = {}
+        kept: List[int] = []
         dt = view.cycle_seconds
-        for key, entries in groups.items():
-            _job, dst_label, sources = key
-            dst_server = entries[0].dst_server
-            blocks = [e.block for e in entries]
-            remaining = sum(
-                b.size - view.received_bytes(b.block_id, dst_server)
-                for b in blocks
-            )
-            if remaining <= 0:
+        for g, key in enumerate(groups.keys):
+            if remaining[g] <= 0:
                 continue
-            # Candidate sources are pre-filtered for routability, so every
-            # source has a failure-aware path here.
-            paths = tuple(
-                tuple(view.flow_resources(src, dst_server) or ())
-                for src in sources
-            )
-            if any(not p for p in paths):
-                continue  # a link failed between grouping and routing
+            dst = groups.dst[g]
+            # Sources were picked for reachability, so every one has a
+            # probed failure-aware path here.
+            paths = tuple(memo[src * width + dst] for src in groups.sources[g])
             commodities.append(
-                Commodity(name=key, paths=paths, demand=remaining / dt)
+                Commodity(name=key, paths=paths, demand=remaining[g] / dt)
             )
-            group_blocks[key] = blocks
-        return commodities, group_blocks
+            kept.append(g)
+        return commodities, kept
 
     def _solve(
         self,
@@ -615,86 +498,438 @@ class BDSRouter:
 
     @staticmethod
     def _to_directives(
-        view: ClusterView,
         commodities: List[Commodity],
-        group_blocks: Mapping[GroupKey, List[Block]],
+        groups: "_Groups",
+        kept: List[int],
         rates: Mapping[Tuple[GroupKey, int], float],
-    ) -> List[TransferDirective]:
+    ) -> DirectiveBatch:
         """Split each merged group's blocks across its allocated sources.
 
-        Blocks are dealt to sources in proportion to each source's share of
-        the group's total rate, preserving rarity order within the group.
+        Block order per group: the members rotated by a destination-keyed
+        offset (Fig. 1's circled send order: different destinations start
+        at different offsets, so they accumulate *disjoint* prefixes and
+        can then serve each other over bottleneck-disjoint paths), with
+        half-received blocks moved to the front so their buffered bytes
+        are not stranded by the rotation. Both reorders run for all groups
+        as one argsort. Blocks are then dealt to sources by descending
+        byte deficit — each source's budget is its share of the group's
+        total rate times the group's bytes — preserving that order within
+        each source; ties go to the first source.
         """
-        directives: List[TransferDirective] = []
-        for commodity in commodities:
+        rows = groups.rows
+        space = rows.space
+        names = space.server_names
+        offsets = groups.offsets
+        lengths = offsets[1:] - offsets[:-1]
+        starts = offsets[:-1].repeat(lengths)
+        shift = np.array(
+            [
+                zlib.crc32(names[d].encode()) % m
+                for d, m in zip(groups.dst, lengths.tolist())
+            ],
+            dtype=np.int64,
+        ).repeat(lengths)
+        span = lengths.repeat(lengths)
+        position = (
+            np.arange(len(groups.members), dtype=np.int64) - starts - shift
+        ) % span
+        fresh = rows.buffered[groups.members] <= 0
+        order = groups.members[(2 * starts + fresh * span + position).argsort()]
+        sizes = rows.sizes[order].tolist()
+        gids = rows.gids[order].tolist()
+        bounds = offsets.tolist()
+
+        job_ids: List[str] = []
+        src_ids: List[int] = []
+        dst_ids: List[int] = []
+        caps: List[float] = []
+        ends: List[int] = []
+        flat: List[int] = []
+        for commodity, g in zip(commodities, kept):
             key: GroupKey = commodity.name  # type: ignore[assignment]
-            job_id, _dst_label, sources = key
-            blocks = group_blocks[key]
-            # Stagger block order per destination (Fig. 1's circled send
-            # order): different destinations start at different offsets, so
-            # they accumulate *disjoint* prefixes and can then serve each
-            # other over bottleneck-disjoint paths. Without this, every
-            # destination receives the same blocks in the same order and
-            # the overlay has nothing to exchange.
-            dst_for_offset = commodity.paths[0][-1][1]
-            offset = zlib.crc32(dst_for_offset.encode()) % len(blocks)
-            rotated = blocks[offset:] + blocks[:offset]
-            # Half-received blocks go first so their buffered bytes are not
-            # stranded by the rotation. Membership is tested on block ids
-            # (a set), not Block equality over a list — the latter made
-            # this loop quadratic in group size.
-            partial = [
-                b
-                for b in rotated
-                if view.received_bytes(b.block_id, dst_for_offset) > 0
-            ]
-            if partial:
-                partial_ids = {b.block_id for b in partial}
-                rest = [b for b in rotated if b.block_id not in partial_ids]
-                blocks = partial + rest
-            else:
-                blocks = rotated
-            dst_server = None
-            per_source: List[Tuple[str, float]] = []
-            for pi, src in enumerate(sources):
+            per_source: List[Tuple[int, float]] = []
+            for pi, src in enumerate(groups.sources[g]):
                 rate = rates.get((key, pi), 0.0)
                 if rate > 1e-9:
                     per_source.append((src, rate))
             if not per_source:
                 continue
-            # The destination is encoded in the path's last resource
-            # ("down", server); recover it from any path.
-            last = commodity.paths[0][-1]
-            dst_server = last[1]
+            lo, hi = bounds[g], bounds[g + 1]
+            block_sizes = sizes[lo:hi]
+            block_gids = gids[lo:hi]
             total_rate = sum(rate for _s, rate in per_source)
-            total_bytes = sum(b.size for b in blocks)
-            # Deal blocks to sources by descending byte deficit.
-            budgets = {
-                src: rate / total_rate * total_bytes for src, rate in per_source
-            }
-            assigned: Dict[str, List[Block]] = {src: [] for src, _r in per_source}
-            for block in blocks:
-                src = max(budgets, key=lambda s: budgets[s])
-                assigned[src].append(block)
-                budgets[src] -= block.size
+            if len(per_source) == 1:
+                assigned = [block_gids]
+            else:
+                total_bytes = sum(block_sizes)
+                budgets = [
+                    rate / total_rate * total_bytes for _s, rate in per_source
+                ]
+                assigned = [[] for _ in per_source]
+                last = len(budgets)
+                for size, gid in zip(block_sizes, block_gids):
+                    j = 0
+                    best = budgets[0]
+                    for t in range(1, last):
+                        if budgets[t] > best:
+                            best = budgets[t]
+                            j = t
+                    assigned[j].append(gid)
+                    budgets[j] -= size
             # A group with fewer blocks than flowing paths leaves some
             # sources empty; hand their rate to the sources that did get
             # blocks, or small block remainders drain geometrically and
             # never finish. The simulator re-clips to capacity, so the
             # reshuffled rate cannot oversubscribe any link.
-            used_rate = sum(r for s, r in per_source if assigned[s])
+            used_rate = sum(
+                rate for (_s, rate), got in zip(per_source, assigned) if got
+            )
             spare = total_rate - used_rate
-            for src, rate in per_source:
-                if not assigned[src]:
+            for (src, rate), got in zip(per_source, assigned):
+                if not got:
                     continue
                 share = rate + (spare * rate / used_rate if used_rate > 0 else 0.0)
-                directives.append(
-                    TransferDirective(
-                        job_id=job_id,
-                        block_ids=tuple(b.block_id for b in assigned[src]),
-                        src_server=src,
-                        dst_server=dst_server,
-                        rate_cap=share,
-                    )
-                )
-        return directives
+                job_ids.append(key[0])
+                src_ids.append(src)
+                dst_ids.append(groups.dst[g])
+                caps.append(share)
+                flat.extend(got)
+                ends.append(len(flat))
+        csr = np.zeros(len(ends) + 1, dtype=np.int64)
+        csr[1:] = ends
+        return DirectiveBatch(
+            space,
+            job_ids,
+            np.asarray(src_ids, dtype=np.int64),
+            np.asarray(dst_ids, dtype=np.int64),
+            caps,
+            csr,
+            np.asarray(flat, dtype=np.int64),
+        )
+
+
+@dataclass
+class _Rows:
+    """The selection as parallel arrays in one interned id space.
+
+    Row ``i`` describes ``selections[i]``: its job slot, block id, block
+    index, destination server and DC ids, block size, and bytes already
+    buffered at the destination. ``pair_row``/``pair_src`` list every
+    (row, healthy holder) pair, sorted by row, then DC-major (by DC id,
+    then server id).
+    """
+
+    space: object
+    job_ids: List[str]
+    server_dc: np.ndarray
+    num_dcs: int
+    slot: np.ndarray
+    gids: np.ndarray
+    index: np.ndarray
+    dst: np.ndarray
+    dst_dc: np.ndarray
+    sizes: np.ndarray
+    buffered: np.ndarray
+    pair_row: np.ndarray
+    pair_src: np.ndarray
+    #: reach[d, s]: 1/0 when server s does/does not have a path to server
+    #: d, -1 while unprobed; ``paths`` memoizes the probed resource tuples
+    #: by ``s * num_servers + d``.
+    reach: np.ndarray
+    paths: Dict[int, Optional[Tuple[ResourceKey, ...]]]
+
+
+@dataclass
+class _Groups:
+    """Merged commodity groups over the selection rows.
+
+    Group ``g`` has key ``keys[g]`` (string names, first-hit order),
+    destination id ``dst[g]``, picked source ids ``sources[g]``, and
+    member rows ``members[offsets[g]:offsets[g + 1]]`` in selection order.
+    """
+
+    rows: _Rows
+    keys: List[GroupKey]
+    dst: List[int]
+    sources: List[Tuple[int, ...]]
+    offsets: np.ndarray
+    members: np.ndarray
+
+
+class _SizeTable:
+    """Block sizes by block id of one possession matrix, filled lazily."""
+
+    __slots__ = ("space", "table")
+
+    def __init__(self) -> None:
+        self.space = None
+        self.table = np.empty(0)
+
+    def gather(self, space, batch: SelectionBatch) -> np.ndarray:
+        """Per-row block sizes of ``batch``, whose ids index ``space``."""
+        if self.space is not space:
+            self.space = space
+            self.table = np.empty(0)
+        table = self.table
+        if len(table) < space.num_blocks:
+            table = self.table = np.concatenate(
+                [table, np.full(space.num_blocks - len(table), np.nan)]
+            )
+        gids = batch.gids
+        sizes = table[gids]
+        missing = np.isnan(sizes).nonzero()[0]
+        if len(missing):
+            jobs = batch.jobs
+            for i in missing.tolist():
+                job = jobs[batch.job_slots[i]]
+                table[gids[i]] = job.blocks[batch.indices[i]].size
+            sizes = table[gids]
+        return sizes
+
+
+def _first_hit_labels(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Label equal keys 0, 1, ... in order of first appearance.
+
+    Returns the per-element labels and, per label, the index of the
+    key's first occurrence — ``np.unique(..., return_index=True,
+    return_inverse=True)`` relabelled to first-hit order, in method calls
+    cheap enough for the small selections of a quiet cycle.
+    """
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]
+    by_first = first.argsort()
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    label = np.empty(len(key), dtype=np.int64)
+    label[order] = rank[new.cumsum() - 1]
+    return label, first[by_first]
+
+
+#: Bit masks by bit position within a byte.
+_BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)
+
+
+def _selection_rows(
+    view: ClusterView,
+    selections: Sequence[ScheduledBlock],
+    batch: Optional[SelectionBatch],
+    sizes: _SizeTable,
+) -> _Rows:
+    """Lay the selection out as :class:`_Rows`.
+
+    With the scheduler's :class:`SelectionBatch` over an exact possession
+    matrix, the columns are the batch's interned ids and the holder pairs
+    come from one rows × servers gather against the matrix bits (failed
+    agents masked out). Otherwise — speculation overlays, the dict-backed
+    store, the scalar scheduler — a fresh :class:`IdSpace` interns the
+    rows in the same sorted-name order and holders come from
+    ``view.eligible_sources`` per distinct block.
+    """
+    n = len(selections)
+    store = view.store
+    if (
+        batch is not None
+        and len(batch.gids) == n
+        and getattr(store, "is_exact_matrix", False)
+    ):
+        space = store.matrix
+        dc_major = space.server_dc_major
+        num_servers = len(dc_major)
+        gids = batch.gids
+        # Byte-wise view of the bit rows (block g is bit g & 7 of byte
+        # g >> 3 in little-endian word order), columns in DC-major order.
+        cells = (
+            space.bits.astype("<u8", copy=False).view(np.uint8).T[gids >> 3][
+                :, dc_major
+            ]
+            & _BIT[gids & 7][:, None]
+        )
+        if view.failed_agents:
+            down = np.zeros(num_servers, dtype=bool)
+            down[
+                [space.server_ids[s] for s in view.failed_agents if s in space.server_ids]
+            ] = True
+            cells[:, down[dc_major]] = 0
+        flat = cells.reshape(-1).nonzero()[0]
+        dst = batch.dst_sids
+        reach, paths = _reach_memo(view, space.server_names)
+        return _Rows(
+            space=space,
+            job_ids=[job.job_id for job in batch.jobs],
+            server_dc=space.server_dc_ids,
+            num_dcs=len(space.dc_names),
+            slot=batch.job_slots,
+            gids=gids,
+            index=batch.indices,
+            dst=dst,
+            dst_dc=batch.dc_gids,
+            sizes=sizes.gather(space, batch),
+            buffered=view.received_bytes_many(space, gids, dst),
+            pair_row=flat // num_servers,
+            pair_src=dc_major[flat % num_servers],
+            reach=reach,
+            paths=paths,
+        )
+    servers = view.topology.servers
+    space = IdSpace(sorted(servers))
+    server_ids = space.server_ids
+    dc_names = sorted({servers[name].dc for name in space.server_names})
+    dc_ids = {dc: i for i, dc in enumerate(dc_names)}
+    server_dc = [dc_ids[servers[name].dc] for name in space.server_names]
+    slot_of: Dict[str, int] = {}
+    holders_of: Dict[int, List[int]] = {}
+    pair_row: List[int] = []
+    pair_src: List[int] = []
+    for i, entry in enumerate(selections):
+        slot_of.setdefault(entry.job_id, len(slot_of))
+        gid = space.intern(entry.block.block_id)
+        holders = holders_of.get(gid)
+        if holders is None:
+            holders = holders_of[gid] = sorted(
+                (server_ids[s] for s in view.eligible_sources(entry.block.block_id)),
+                key=lambda s: (server_dc[s], s),
+            )
+        pair_row.extend([i] * len(holders))
+        pair_src.extend(holders)
+    dst = np.fromiter(
+        (server_ids[entry.dst_server] for entry in selections),
+        dtype=np.int64,
+        count=n,
+    )
+    gids = np.fromiter(
+        (space.block_gids[entry.block.block_id] for entry in selections),
+        dtype=np.int64,
+        count=n,
+    )
+    reach, paths = _reach_memo(view, space.server_names)
+    return _Rows(
+        space=space,
+        job_ids=list(slot_of),
+        server_dc=np.asarray(server_dc, dtype=np.int64),
+        num_dcs=len(dc_names),
+        slot=np.fromiter(
+            (slot_of[entry.job_id] for entry in selections),
+            dtype=np.int64,
+            count=n,
+        ),
+        gids=gids,
+        index=np.fromiter(
+            (entry.block.index for entry in selections), dtype=np.int64, count=n
+        ),
+        dst=dst,
+        dst_dc=np.fromiter(
+            (dc_ids[entry.dst_dc] for entry in selections),
+            dtype=np.int64,
+            count=n,
+        ),
+        sizes=np.fromiter(
+            (entry.block.size for entry in selections),
+            dtype=np.float64,
+            count=n,
+        ),
+        buffered=view.received_bytes_many(space, gids, dst),
+        pair_row=np.asarray(pair_row, dtype=np.int64),
+        pair_src=np.asarray(pair_src, dtype=np.int64),
+        reach=reach,
+        paths=paths,
+    )
+
+
+def _reach_memo(
+    view: ClusterView, names: List[str]
+) -> Tuple[np.ndarray, Dict[int, Optional[Tuple[ResourceKey, ...]]]]:
+    """The view's cached reachability table and path memo over ``names``
+    (fresh, empty ones when the view carries no cycle cache)."""
+    cache = view._cache
+    if cache is not None:
+        return cache.reach_table(view.topology.epoch, view.failed_links, names)
+    return np.full((len(names), len(names)), -1, dtype=np.int8), {}
+
+
+def _usable_pairs(view: ClusterView, rows: _Rows) -> Tuple[np.ndarray, np.ndarray]:
+    """The (row, holder) pairs whose holder can serve the row.
+
+    A holder is usable when it is not the row's destination and has a
+    failure-aware path to it. Reachability comes from the cycle cache's
+    tri-state table; only the (holder, destination) pairs the selection
+    actually needs are probed through ``view.flow_resources``, once per
+    path-validity epoch. Order is preserved.
+    """
+    pair_row = rows.pair_row
+    pair_src = rows.pair_src
+    pair_dst = rows.dst[pair_row]
+    table = rows.reach
+    state = table[pair_dst, pair_src]
+    unknown = (state < 0).nonzero()[0]
+    if len(unknown):
+        names = rows.space.server_names
+        num_servers = len(names)
+        paths = rows.paths
+        for pair in set(
+            (pair_src[unknown] * num_servers + pair_dst[unknown]).tolist()
+        ):
+            src, d = divmod(pair, num_servers)
+            path = None
+            if src != d:
+                path = paths[pair] = view.flow_resources(names[src], names[d])
+            table[d, src] = 0 if path is None else 1
+        state = table[pair_dst, pair_src]
+    ok = (state > 0) & (pair_src != pair_dst)
+    return pair_row[ok], pair_src[ok]
+
+
+def _pick_sources(
+    pairs: Tuple[np.ndarray, np.ndarray], rows: _Rows, max_sources: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the picked source ids (rows × ``max_sources``, ``-1``
+    padded) and how many were picked; see :meth:`BDSRouter._build_groups`.
+
+    The usable pairs are sorted by row, then DC-major, so each (row, DC)
+    cell's holders are one contiguous run: a bincount over cells gives
+    the run lengths and their cumulative sum the run starts, and the k-th
+    holder of a cell is pair ``start + k``. A row's other DCs are its
+    nonempty cells except the destination's, in ascending DC order; pick
+    m takes the one at position (block index + m) mod their count.
+    """
+    pair_row, pair_src = pairs
+    n = len(rows.index)
+    if not len(pair_row):
+        return np.full((n, max_sources), -1, dtype=np.int64), np.zeros(
+            n, dtype=np.int64
+        )
+    index = rows.index
+    num_dcs = rows.num_dcs
+    size = np.bincount(
+        pair_row * num_dcs + rows.server_dc[pair_src], minlength=n * num_dcs
+    )
+    start = size.cumsum() - size
+    local = np.arange(n, dtype=np.int64) * num_dcs + rows.dst_dc
+    local_size = size[local]
+    has_local = (local_size > 0).astype(np.int64)
+    last = len(pair_src) - 1
+    # Column 0: the local pick; columns 1..: the rotated other-DC picks.
+    cand = np.empty((n, max_sources + 1), dtype=np.int64)
+    cand[:, 0] = pair_src[
+        np.minimum(start[local] + index % np.maximum(local_size, 1), last)
+    ]
+    other = size > 0
+    other[local] = False
+    cells = other.nonzero()[0]
+    num_other = other.reshape(n, num_dcs).sum(axis=1)
+    if len(cells):
+        wrap = np.maximum(num_other, 1)[:, None]
+        turn = ((index % wrap[:, 0])[:, None] + np.arange(max_sources)) % wrap
+        cell = cells[
+            np.minimum((num_other.cumsum() - num_other)[:, None] + turn, len(cells) - 1)
+        ]
+        cand[:, 1:] = pair_src[start[cell] + index[:, None] % size[cell]]
+    count = has_local + np.minimum(num_other, max_sources - has_local)
+    picks = np.where(
+        has_local[:, None] > 0, cand[:, :max_sources], cand[:, 1:]
+    )
+    picks[np.arange(max_sources) >= count[:, None]] = -1
+    return picks, count

@@ -247,13 +247,14 @@ class RarestFirstScheduler:
                 grp_idx_max.append(int(idx.max()))
 
         if not group_refs:
+            empty = np.empty(0, dtype=np.int64)
             self.last_batch = SelectionBatch(
                 jobs=list(view.jobs),
-                gids=[],
-                indices=[],
-                dst_sids=[],
-                dc_gids=[],
-                job_slots=[],
+                gids=empty,
+                indices=empty,
+                dst_sids=empty,
+                dc_gids=empty,
+                job_slots=empty,
             )
             self.last_runtime = _time.perf_counter() - started
             return []
@@ -316,10 +317,12 @@ class RarestFirstScheduler:
             dtype=np.int64,
             count=len(group_refs),
         )
+        sel_idx_arr = idx_col[order]
+        sel_dst_arr = dst_col[order]
         sel_slot = slot_arr.tolist()
         sel_row = row_col[order].tolist()
-        sel_idx = idx_col[order].tolist()
-        sel_dst = dst_col[order].tolist()
+        sel_idx = sel_idx_arr.tolist()
+        sel_dst = sel_dst_arr.tolist()
         sel_dup = dup_col[order].tolist()
         names = matrix.server_names
         make = _make_scheduled
@@ -348,11 +351,11 @@ class RarestFirstScheduler:
             append(obj)
         self.last_batch = SelectionBatch(
             jobs=list(view.jobs),
-            gids=gid_col[order].tolist(),
-            indices=sel_idx,
-            dst_sids=sel_dst,
-            dc_gids=dcgid_per_slot[slot_arr].tolist(),
-            job_slots=jslot_per_slot[slot_arr].tolist(),
+            gids=gid_col[order],
+            indices=sel_idx_arr,
+            dst_sids=sel_dst_arr,
+            dc_gids=dcgid_per_slot[slot_arr],
+            job_slots=jslot_per_slot[slot_arr],
         )
         self.last_runtime = _time.perf_counter() - started
         return selected

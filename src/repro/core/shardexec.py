@@ -142,7 +142,7 @@ class ShardResult:
     ``BDSController._decide_sharded`` cannot diverge between modes.
     """
 
-    directives: List["TransferDirective"]
+    directives: Sequence["TransferDirective"]
     scheduled_blocks: int
     num_commodities: int
     objective: float

@@ -12,7 +12,9 @@ explicit validity key so stale answers are structurally impossible:
 
 * **paths** — ``flow_resources(src, dst)`` results, valid while
   ``(topology.epoch, failed_links)`` is unchanged. In a failure-free run
-  this cache survives across *all* cycles.
+  this cache survives across *all* cycles. The router's reachability
+  table and its int-keyed twin of the path memo (:meth:`CycleCache.
+  reach_table`) share this validity key.
 * **sources** — eligible-source lists per block, valid while
   ``(store.epoch, failed_agents)`` is unchanged. Any possession mutation
   (delivery, seed, drop) bumps the store epoch and flushes it.
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.topology import ResourceKey
 
@@ -132,13 +136,12 @@ class CycleCache:
     __slots__ = (
         "_path_key",
         "paths",
+        "reach",
+        "_reach_names",
         "paths_ids",
         "_source_key",
         "sources",
-        "source_ids",
         "rarity",
-        "_picks_key",
-        "picks",
         "hits",
         "misses",
         "flushes",
@@ -151,26 +154,19 @@ class CycleCache:
         self.paths: Dict[
             Tuple[str, str], Optional[Tuple[ResourceKey, ...]]
         ] = {}
-        # Integer twin of ``paths`` for the batched router build:
-        # src_sid * num_servers + dst_sid -> resource tuple or None.
-        # Same validity key; flushed together with ``paths``.
+        # Source reachability for the router's pick kernel, same validity
+        # key as ``paths``: reach[d, s] is 1 when server id s has a
+        # failure-aware path to server id d, 0 when it has none, -1 while
+        # unprobed. Ids index the server-name list the table was built
+        # for (``_reach_names``).
+        self.reach: Optional[np.ndarray] = None
+        self._reach_names: List[str] = []
+        # Integer twin of ``paths`` over the same ids and validity:
+        # src_id * num_servers + dst_id -> resource tuple or None.
         self.paths_ids: Dict[int, Optional[Tuple[ResourceKey, ...]]] = {}
         self._source_key: Optional[SourceKey] = None
         self.sources: Dict[BlockId, List[str]] = {}
-        # Integer twin of ``sources``: block column gid -> ascending list
-        # of eligible holder server ids. Same validity key as ``sources``.
-        self.source_ids: Dict[int, List[int]] = {}
         self.rarity: Dict[BlockId, int] = {}
-        # Content-addressed source-pick memo for the batched router build:
-        # (holder-bitmask bytes, dst server id, block index) -> picked
-        # source-id tuple. The holder bitmask (with failed agents masked
-        # out) IS part of the key, so possession churn simply addresses
-        # new entries instead of invalidating old ones — unlike ``sources``
-        # this memo survives store-epoch bumps and gets near-100% hits in
-        # steady state. Path reachability is baked into stored picks, so
-        # the table flushes with the path memo's validity key.
-        self.picks: Dict[Tuple[bytes, int, int], Tuple[int, ...]] = {}
-        self._picks_key: Optional[Tuple[int, FrozenSet, int]] = None
         # Telemetry (coarse; bumped by ClusterView's cached accessors).
         self.hits: int = 0
         self.misses: int = 0
@@ -185,28 +181,28 @@ class CycleCache:
         key = (topology_epoch, failed_links)
         if key != self._path_key:
             self._path_key = key
-            if self.paths or self.paths_ids:
+            self.reach = None
+            if self.paths:
                 self.paths = {}
-                self.paths_ids = {}
                 self.flushes += 1
         return self.paths
 
-    def validate_picks(
-        self, topology_epoch: int, failed_links: FrozenSet, max_sources: int
-    ) -> Dict[Tuple[bytes, int, int], Tuple[int, ...]]:
-        """The source-pick memo, flushed if paths (or the cap) changed.
-
-        ``max_sources`` is the router's ``max_sources_per_group``: picks
-        depend on it, and the memo lives in the simulation-owned cache, so
-        a router swap with a different cap must not reuse stale picks.
-        """
-        key = (topology_epoch, failed_links, max_sources)
-        if key != self._picks_key:
-            self._picks_key = key
-            if self.picks:
-                self.picks = {}
-                self.flushes += 1
-        return self.picks
+    def reach_table(
+        self, topology_epoch: int, failed_links: FrozenSet, server_names: List[str]
+    ) -> Tuple[np.ndarray, Dict[int, Optional[Tuple[ResourceKey, ...]]]]:
+        """The reachability table and int-keyed path memo for
+        ``server_names``, both flushed with the path memo."""
+        self.validate_paths(topology_epoch, failed_links)
+        table = self.reach
+        if table is None or (
+            self._reach_names is not server_names
+            and self._reach_names != server_names
+        ):
+            n = len(server_names)
+            table = self.reach = np.full((n, n), -1, dtype=np.int8)
+            self._reach_names = server_names
+            self.paths_ids = {}
+        return table, self.paths_ids
 
     def validate_sources(
         self, store_epoch: int, failed_agents: FrozenSet
@@ -215,9 +211,8 @@ class CycleCache:
         key = (store_epoch, failed_agents)
         if key != self._source_key:
             self._source_key = key
-            if self.sources or self.rarity or self.source_ids:
+            if self.sources or self.rarity:
                 self.sources = {}
-                self.source_ids = {}
                 self.rarity = {}
                 self.flushes += 1
 

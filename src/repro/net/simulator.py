@@ -85,6 +85,327 @@ class TransferDirective:
             raise ValueError("rate_cap must be >= 0")
 
 
+class IdSpace:
+    """Interned server and block names that no possession matrix backs.
+
+    A :class:`DirectiveBatch` addresses servers and blocks by small ints
+    in an *id space*: normally the live
+    :class:`~repro.overlay.store.PossessionMatrix` (same attribute names:
+    ``server_names``/``server_ids``/``block_names``/``block_gids``), and
+    this standalone table when there is no matrix to borrow — the
+    dict-backed store, speculation overlays, unpickled batches. Server ids
+    are assigned in the given order; blocks are interned on first sight.
+    """
+
+    __slots__ = ("server_names", "server_ids", "block_names", "block_gids")
+
+    def __init__(self, server_names: Iterable[str] = ()) -> None:
+        self.server_names: List[str] = list(server_names)
+        self.server_ids: Dict[str, int] = {
+            name: i for i, name in enumerate(self.server_names)
+        }
+        self.block_names: List[BlockId] = []
+        self.block_gids: Dict[BlockId, int] = {}
+
+    def intern_server(self, name: str) -> int:
+        sid = self.server_ids.get(name)
+        if sid is None:
+            sid = self.server_ids[name] = len(self.server_names)
+            self.server_names.append(name)
+        return sid
+
+    def intern(self, block_id: BlockId) -> int:
+        gid = self.block_gids.get(block_id)
+        if gid is None:
+            gid = self.block_gids[block_id] = len(self.block_names)
+            self.block_names.append(block_id)
+        return gid
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+_ZERO_OFFSETS = np.zeros(1, dtype=np.int64)
+_ZERO_OFFSETS.flags.writeable = False
+
+
+class DirectiveBatch(Sequence[TransferDirective]):
+    """A directive list as parallel arrays over an interned id space.
+
+    Row ``i`` is one single-hop transfer order: ``job_ids[i]``, source and
+    destination server ids ``src[i]``/``dst[i]``, ``rate_caps[i]``, and
+    its blocks ``gids[offsets[i]:offsets[i + 1]]`` in send order (a CSR).
+    Ids index ``space`` — the possession matrix the router worked in, or
+    an :class:`IdSpace`. The router emits batches, and the simulator
+    validates them and builds flows on the arrays without a per-block
+    ``Block`` or ``TransferDirective``.
+
+    The batch is also a read-only ``Sequence[TransferDirective]``:
+    indexing or iterating materializes (and caches) the equivalent
+    :class:`TransferDirective`, so consumers written against directive
+    lists keep working. Equality compares as a directive list; pickling
+    ships the directives and re-packs them in a fresh :class:`IdSpace`
+    (a matrix space would drag the whole possession matrix along).
+
+    Packing a list into a matrix space (:meth:`of`) keeps the original
+    directive objects; ids the matrix has never interned become ``-1``
+    and are resolved by :meth:`Simulation._valid_directives`.
+    """
+
+    __slots__ = (
+        "space",
+        "job_ids",
+        "src",
+        "dst",
+        "rate_caps",
+        "offsets",
+        "gids",
+        "_items",
+    )
+
+    def __init__(
+        self,
+        space,
+        job_ids: List[str],
+        src: np.ndarray,
+        dst: np.ndarray,
+        rate_caps: List[Optional[float]],
+        offsets: np.ndarray,
+        gids: np.ndarray,
+        items: Optional[List[Optional[TransferDirective]]] = None,
+    ) -> None:
+        self.space = space
+        self.job_ids = job_ids
+        self.src = src
+        self.dst = dst
+        self.rate_caps = rate_caps
+        self.offsets = offsets
+        self.gids = gids
+        self._items = items if items is not None else [None] * len(job_ids)
+
+    @classmethod
+    def of(
+        cls, directives: Iterable[TransferDirective], space=None
+    ) -> "DirectiveBatch":
+        """``directives`` as a batch in ``space`` (a fresh :class:`IdSpace`
+        when ``None``). A batch already in ``space`` is returned as is;
+        one in another space (the router's own :class:`IdSpace`, off the
+        matrix fast path) is re-packed from its directives."""
+        if isinstance(directives, DirectiveBatch) and (
+            space is None or directives.space is space
+        ):
+            return directives
+        items = list(directives)
+        if space is None:
+            space = IdSpace()
+        if not items:
+            return cls.empty(space)
+        if isinstance(space, IdSpace):
+            server_of = space.intern_server
+            block_of = space.intern
+        else:
+            server_ids = space.server_ids
+            block_gids = space.block_gids
+
+            def server_of(name: str) -> int:
+                return server_ids.get(name, -1)
+
+            def block_of(block_id: BlockId) -> int:
+                return block_gids.get(block_id, -1)
+
+        offsets = np.zeros(len(items) + 1, dtype=np.int64)
+        np.cumsum([len(d.block_ids) for d in items], out=offsets[1:])
+        return cls(
+            space,
+            [d.job_id for d in items],
+            np.array([server_of(d.src_server) for d in items], dtype=np.int64),
+            np.array([server_of(d.dst_server) for d in items], dtype=np.int64),
+            [d.rate_cap for d in items],
+            offsets,
+            np.array(
+                [block_of(bid) for d in items for bid in d.block_ids],
+                dtype=np.int64,
+            ),
+            items,
+        )
+
+    @classmethod
+    def empty(cls, space=None) -> "DirectiveBatch":
+        """A batch with no directives (its arrays are shared, read-only)."""
+        if space is None:
+            space = IdSpace()
+        return cls(space, [], _NO_IDS, _NO_IDS, [], _ZERO_OFFSETS, _NO_IDS, [])
+
+    # -- Sequence protocol ---------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.job_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        item = self._items[index]
+        if item is None:
+            if index < 0:
+                index += len(self)
+            lo, hi = self.offsets[index : index + 2].tolist()
+            names = self.space.block_names
+            servers = self.space.server_names
+            item = TransferDirective(
+                job_id=self.job_ids[index],
+                block_ids=tuple(names[g] for g in self.gids[lo:hi].tolist()),
+                src_server=servers[int(self.src[index])],
+                dst_server=servers[int(self.dst[index])],
+                rate_cap=self.rate_caps[index],
+            )
+            self._items[index] = item
+        return item
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, DirectiveBatch)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DirectiveBatch({list(self)!r})"
+
+    def __reduce__(self):
+        return (DirectiveBatch.of, (list(self),))
+
+    # -- array views ---------------------------------------------------------
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Blocks per directive."""
+        return np.diff(self.offsets)
+
+    def endpoints(self) -> List[Tuple[str, str]]:
+        """(source, destination) server names per directive."""
+        names = self.space.server_names
+        pairs: List[Tuple[str, str]] = []
+        for i, (s, t) in enumerate(zip(self.src.tolist(), self.dst.tolist())):
+            if s < 0 or t < 0:
+                # Only packed lists carry ids their space lacks, and
+                # those keep their original directives.
+                d = self._items[i]
+                pairs.append((d.src_server, d.dst_server))
+            else:
+                pairs.append((names[s], names[t]))
+        return pairs
+
+    def take(self, rows: Sequence[int]) -> "DirectiveBatch":
+        """The sub-batch of directives ``rows``, in that order."""
+        if len(rows) == len(self):
+            return self
+        idx = np.asarray(rows, dtype=np.int64)
+        counts = self.counts[idx]
+        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        starts = np.repeat(self.offsets[:-1][idx] - offsets[:-1], counts)
+        entries = starts + np.arange(offsets[-1], dtype=np.int64)
+        rows_l = idx.tolist()
+        return DirectiveBatch(
+            self.space,
+            [self.job_ids[i] for i in rows_l],
+            self.src[idx],
+            self.dst[idx],
+            [self.rate_caps[i] for i in rows_l],
+            offsets,
+            self.gids[entries],
+            [self._items[i] for i in rows_l],
+        )
+
+    def keep_blocks(self, keep: np.ndarray) -> "DirectiveBatch":
+        """Drop the CSR entries where ``keep`` is false, in order.
+
+        Directives left without blocks are dropped; a directive that lost
+        some blocks re-materializes with the survivors.
+        """
+        if keep.all():
+            return self
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        counts = kept[self.offsets[1:]] - kept[self.offsets[:-1]]
+        full = (counts == self.counts).tolist()
+        rows = np.flatnonzero(counts)
+        rows_l = rows.tolist()
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts[rows], out=offsets[1:])
+        return DirectiveBatch(
+            self.space,
+            [self.job_ids[i] for i in rows_l],
+            self.src[rows],
+            self.dst[rows],
+            [self.rate_caps[i] for i in rows_l],
+            offsets,
+            self.gids[keep],
+            [self._items[i] if full[i] else None for i in rows_l],
+        )
+
+
+def remaining_bytes(
+    sizes: np.ndarray, buffered: np.ndarray, offsets: np.ndarray
+) -> List[float]:
+    """Per-segment ``sum(size - buffered)`` over a CSR, left to right.
+
+    Each segment is folded with Python's ``sum`` over the same float
+    terms in the same order as a per-block generator would, so demands
+    and flow sizes stay bit-identical to the per-block loops this
+    replaces (numpy's pairwise reductions would not be).
+    """
+    terms = (sizes - buffered).tolist()
+    bounds = offsets.tolist()
+    return [sum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def buffered_bytes(
+    partial: Mapping[Tuple[BlockId, str], float],
+    space,
+    gids: np.ndarray,
+    sids: np.ndarray,
+) -> np.ndarray:
+    """Bytes already buffered for each (block ``gids[k]``, server
+    ``sids[k]``) pair, from the name-keyed partial-bytes map.
+
+    One pass over the (small) partial map re-keys it into ``space``'s ids;
+    the pairs are then matched with a sorted search, so the cost is
+    O(partials) Python plus O(pairs) numpy.
+    """
+    out = np.zeros(len(gids), dtype=np.float64)
+    if not partial or len(gids) == 0:
+        return out
+    width = len(space.server_names)
+    block_gids = space.block_gids
+    server_ids = space.server_ids
+    keys: List[int] = []
+    values: List[float] = []
+    for (block_id, server), value in partial.items():
+        gid = block_gids.get(block_id)
+        sid = server_ids.get(server)
+        if gid is not None and sid is not None:
+            keys.append(gid * width + sid)
+            values.append(value)
+    if not keys:
+        return out
+    key_arr = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(key_arr)
+    key_arr = key_arr[order]
+    val_arr = np.asarray(values, dtype=np.float64)[order]
+    query = gids * width + sids
+    pos = np.searchsorted(key_arr, query)
+    pos[pos == len(key_arr)] = 0
+    hit = key_arr[pos] == query
+    out[hit] = val_arr[pos[hit]]
+    return out
+
+
 @dataclass
 class SimConfig:
     """Simulation knobs.
@@ -537,6 +858,13 @@ class ClusterView:
         """Bytes of ``block_id`` already buffered at ``dst_server``."""
         return self._partial.get((block_id, dst_server), 0.0)
 
+    def received_bytes_many(
+        self, space, gids: np.ndarray, sids: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`received_bytes` for parallel (block, server) id arrays
+        of ``space`` (see :func:`buffered_bytes`)."""
+        return buffered_bytes(self._partial, space, gids, sids)
+
     def pending_deliveries(
         self, job: MulticastJob
     ) -> List[Tuple[Block, str, str]]:
@@ -780,6 +1108,9 @@ class Simulation:
                 self._relay_order[(job.job_id, dc)] = ordered_ids
 
         self._blocks_by_id: Dict[BlockId, Block] = {}
+        # Block size per column id of the store's matrix, grown lazily by
+        # _block_sizes as the matrix interns blocks.
+        self._gid_sizes = np.empty(0)
         self._origin_dc: Dict[str, str] = {}
         # Job lookup for the delivery bookkeeping: _deliver used to do an
         # O(jobs) linear scan per completed DC. First-wins like the scan,
@@ -923,34 +1254,101 @@ class Simulation:
 
     def _valid_directives(
         self, directives: Iterable[TransferDirective], failed: Set[str]
-    ) -> List[TransferDirective]:
-        """Drop directives that violate physics or reference failed agents."""
-        valid: List[TransferDirective] = []
-        for d in directives:
-            if d.src_server in failed or d.dst_server in failed:
+    ) -> DirectiveBatch:
+        """Drop directives that violate physics or reference failed agents.
+
+        Every strategy's output goes through here as a
+        :class:`DirectiveBatch` in the store's id space (a router batch
+        already is one; baseline lists are packed once). Per directive, in
+        order: one touching a failed agent is dropped, then an unknown
+        source or destination server raises ``KeyError``. Per block: blocks
+        the source lacks or the destination already holds are filtered
+        (never-interned block ids are lacked by everyone), keeping order,
+        and a directive left without blocks is dropped.
+        """
+        matrix = self.store.matrix
+        batch = DirectiveBatch.of(directives, matrix)
+        servers = self.topology.servers
+        rows: List[int] = []
+        for i, (s, t) in enumerate(batch.endpoints()):
+            if s in failed or t in failed:
                 continue
-            if d.src_server not in self.topology.servers:
-                raise KeyError(f"unknown source server {d.src_server!r}")
-            if d.dst_server not in self.topology.servers:
-                raise KeyError(f"unknown destination server {d.dst_server!r}")
-            useful_blocks = tuple(
-                bid
-                for bid in d.block_ids
-                if self.store.has(d.src_server, bid)
-                and not self.store.has(d.dst_server, bid)
+            if s not in servers:
+                raise KeyError(f"unknown source server {s!r}")
+            if t not in servers:
+                raise KeyError(f"unknown destination server {t!r}")
+            rows.append(i)
+        batch = batch.take(rows)
+        counts = batch.counts
+        gids = batch.gids
+        src_rows = np.repeat(batch.src, counts)
+        dst_rows = np.repeat(batch.dst, counts)
+        if matrix is not None:
+            # Ids the matrix never interned (-1) hold nothing; a server it
+            # does not know (added to the topology mid-run) can neither
+            # send nor receive. Unknown ids gather at id 0, then mask out.
+            known = (gids >= 0) & (src_rows >= 0) & (dst_rows >= 0)
+            gids = gids * known
+            useful = (
+                known
+                & matrix.test_many(src_rows * known, gids)
+                & ~matrix.test_many(dst_rows * known, gids)
             )
-            if not useful_blocks:
-                continue
-            if useful_blocks != d.block_ids:
-                d = TransferDirective(
-                    job_id=d.job_id,
-                    block_ids=useful_blocks,
-                    src_server=d.src_server,
-                    dst_server=d.dst_server,
-                    rate_cap=d.rate_cap,
-                )
-            valid.append(d)
-        return valid
+        else:
+            # The dict-backed store has no id space to gather in.
+            has = self.store.has
+            names = batch.space.server_names
+            blocks = batch.space.block_names
+            useful = np.array(
+                [
+                    has(names[s], blocks[g]) and not has(names[t], blocks[g])
+                    for s, t, g in zip(
+                        src_rows.tolist(), dst_rows.tolist(), gids.tolist()
+                    )
+                ],
+                dtype=bool,
+            )
+        return batch.keep_blocks(useful)
+
+    def _remaining_bytes(self, batch: DirectiveBatch) -> List[float]:
+        """Bytes each directive still has to move, from the live partials."""
+        gids = batch.gids
+        sizes = self._block_sizes(batch.space)[gids]
+        unknown = np.isnan(sizes)
+        if unknown.any():
+            raise KeyError(batch.space.block_names[gids[unknown][0]])
+        buffered = buffered_bytes(
+            self._partial,
+            batch.space,
+            gids,
+            np.repeat(batch.dst, batch.counts),
+        )
+        return remaining_bytes(sizes, buffered, batch.offsets)
+
+    def _block_sizes(self, space) -> np.ndarray:
+        """Block size per id of ``space`` (memoized for the store's matrix).
+
+        Ids of blocks no job owns map to NaN; :meth:`_remaining_bytes`
+        rejects them like the ``_blocks_by_id`` lookup it replaces.
+        """
+        names = space.block_names
+        own = space is self.store.matrix
+        table = self._gid_sizes if own else np.empty(0)
+        start = len(table)
+        if start < len(names):
+            blocks = self._blocks_by_id
+            fresh = np.fromiter(
+                (
+                    blocks[bid].size if bid in blocks else np.nan
+                    for bid in names[start:]
+                ),
+                dtype=np.float64,
+                count=len(names) - start,
+            )
+            table = np.concatenate([table, fresh])
+            if own:
+                self._gid_sizes = table
+        return table
 
     def snapshot_view(self, cycle: int = 0) -> ClusterView:
         """A :class:`ClusterView` of the current state without simulating.
@@ -1163,21 +1561,17 @@ class Simulation:
                 directives = reuse.directives
                 flow_resources = reuse.resources
                 rate_started = _time.perf_counter()
-                flows = []
-                for i, d in enumerate(directives):
-                    remaining = sum(
-                        self._blocks_by_id[bid].size
-                        - self._partial.get((bid, d.dst_server), 0.0)
-                        for bid in d.block_ids
+                flows = [
+                    Flow(
+                        flow_id=i,
+                        resources=flow_resources[i],
+                        rate_cap=cap,
+                        demand=remaining / dt,
                     )
-                    flows.append(
-                        Flow(
-                            flow_id=i,
-                            resources=flow_resources[i],
-                            rate_cap=d.rate_cap,
-                            demand=remaining / dt,
-                        )
+                    for i, (cap, remaining) in enumerate(
+                        zip(directives.rate_caps, self._remaining_bytes(directives))
                     )
+                ]
                 reuse.reuses += 1
                 cycles_reused += 1
             else:
@@ -1216,40 +1610,41 @@ class Simulation:
                     feedback_samples.append(sample)
 
                 rate_started = _time.perf_counter()
-                flows = []
-                routed: List[TransferDirective] = []
+                routed: List[int] = []
                 flow_resources = []
-                for d in directives:
+                names = directives.space.server_names
+                for i, (s, t) in enumerate(
+                    zip(directives.src.tolist(), directives.dst.tolist())
+                ):
                     if incremental:
-                        resources = view.flow_resources(
-                            d.src_server, d.dst_server
-                        )
+                        resources = view.flow_resources(names[s], names[t])
                         if resources is None:
                             continue  # destination partitioned off this cycle
                     else:
                         try:
                             resources = self.topology.flow_resources(
-                                d.src_server, d.dst_server, failed_links
+                                names[s], names[t], failed_links
                             )
                         except ValueError:
                             continue  # destination partitioned off this cycle
-                    i = len(routed)
-                    remaining = sum(
-                        self._blocks_by_id[bid].size
-                        - self._partial.get((bid, d.dst_server), 0.0)
-                        for bid in d.block_ids
-                    )
-                    routed.append(d)
+                    routed.append(i)
                     flow_resources.append(resources)
-                    flows.append(
-                        Flow(
-                            flow_id=i,
-                            resources=resources,
-                            rate_cap=d.rate_cap,
-                            demand=remaining / dt,
+                directives = directives.take(routed)
+                flows = [
+                    Flow(
+                        flow_id=i,
+                        resources=resources,
+                        rate_cap=cap,
+                        demand=remaining / dt,
+                    )
+                    for i, (resources, cap, remaining) in enumerate(
+                        zip(
+                            flow_resources,
+                            directives.rate_caps,
+                            self._remaining_bytes(directives),
                         )
                     )
-                directives = routed
+                ]
                 if vkey is not None:
                     # Certify this decide for reuse. The strategy's own
                     # per-decision horizon governs (0 when it declined or
@@ -1303,11 +1698,19 @@ class Simulation:
             )
             events: List[Tuple[str, Block, str, str, float]] = []
             current_pairs: Set[Tuple[str, str]] = set()
-            for i, d in enumerate(directives):
+            names = directives.space.server_names
+            block_names = directives.space.block_names
+            bounds = directives.offsets.tolist()
+            gids = directives.gids.tolist()
+            srcs = directives.src.tolist()
+            dsts = directives.dst.tolist()
+            for i, job_id in enumerate(directives.job_ids):
                 rate = rates.get(i, 0.0)
                 if rate <= 0:
                     continue
-                pair = (d.src_server, d.dst_server)
+                src = names[srcs[i]]
+                dst = names[dsts[i]]
+                pair = (src, dst)
                 window = dt - cfg.control_overhead_seconds
                 if pair not in prev_pairs:
                     window = max(0.0, window - cfg.flow_setup_seconds)
@@ -1316,11 +1719,12 @@ class Simulation:
                     continue
                 budget = rate * window
                 used = 0.0
-                for bid in d.block_ids:
+                for gid in gids[bounds[i] : bounds[i + 1]]:
                     if budget <= 1e-12:
                         break
+                    bid = block_names[gid]
                     block = self._blocks_by_id[bid]
-                    key = (bid, d.dst_server)
+                    key = (bid, dst)
                     have = self._partial.get(key, 0.0)
                     need = block.size - have
                     take = min(need, budget)
@@ -1339,16 +1743,14 @@ class Simulation:
                         finish = now + setup + (used / rate if rate > 0 else dt)
                         when = min(finish, cycle_end)
                         if batch_deliver:
-                            events.append(
-                                (d.job_id, block, d.src_server, d.dst_server, when)
-                            )
+                            events.append((job_id, block, src, dst, when))
                         else:
                             apply_started = _time.perf_counter()
                             self._deliver(
-                                d.job_id,
+                                job_id,
                                 block,
-                                d.src_server,
-                                d.dst_server,
+                                src,
+                                dst,
                                 when,
                                 job_completion,
                                 dc_completion,
@@ -1463,7 +1865,7 @@ class Simulation:
                 )
                 if cfg.record_link_stats:
                     usage: Dict[ResourceKey, float] = {}
-                    for i, d in enumerate(directives):
+                    for i in range(len(directives)):
                         rate = rates.get(i, 0.0)
                         for res in flow_resources[i]:
                             usage[res] = usage.get(res, 0.0) + rate
@@ -1550,7 +1952,7 @@ class Simulation:
         cycle: int,
         reuse: DecisionReuseState,
         next_arrival: Optional[int],
-        directives: Sequence[TransferDirective],
+        directives: DirectiveBatch,
         rates: Mapping[int, float],
         uses_rates: bool,
         controller_ok: bool,
@@ -1611,22 +2013,21 @@ class Simulation:
         plan: List[Tuple[Tuple[BlockId, str], float, float, float]] = []
         seen_keys: Set[Tuple[BlockId, str]] = set()
         total = 0.0
-        for i, d in enumerate(directives):
+        names = directives.space.server_names
+        block_names = directives.space.block_names
+        lead = directives.gids[directives.offsets[:-1]].tolist()
+        dsts = directives.dst.tolist()
+        for i, remaining in enumerate(self._remaining_bytes(directives)):
             rate = rates.get(i, 0.0)
             if rate <= 0 or window <= 0:
                 continue
             budget = rate * window
             if budget <= 1e-12:
                 continue
-            remaining = sum(
-                self._blocks_by_id[bid].size
-                - self._partial.get((bid, d.dst_server), 0.0)
-                for bid in d.block_ids
-            )
             if uses_rates and controller_ok:
                 # Clip kernel: requested = min(rate_cap, demand); constant
                 # only while the cap, not the demand, is the requested rate.
-                bound = d.rate_cap
+                bound = directives.rate_caps[i]
                 if bound is None:
                     return 0
             else:
@@ -1641,16 +2042,15 @@ class Simulation:
             k = min(k, int(headroom / budget))
             if k <= 0:
                 return 0
-            key0 = (d.block_ids[0], d.dst_server)
+            lead_bid = block_names[lead[i]]
+            key0 = (lead_bid, names[dsts[i]])
             if key0 in seen_keys:
                 return 0  # two flows feeding one partial: order-coupled
             seen_keys.add(key0)
             have = self._partial.get(key0, 0.0)
             if have == 0.0:
                 return 0  # not draining into its lead block: bail out
-            plan.append(
-                (key0, have, budget, self._blocks_by_id[d.block_ids[0]].size)
-            )
+            plan.append((key0, have, budget, self._blocks_by_id[lead_bid].size))
             total += budget
 
         # First-completion scan: stop before any lead block would finish.

@@ -102,6 +102,7 @@ class PossessionMatrix:
         "dc_ids",
         "server_dc_ids",
         "server_dc_list",
+        "server_dc_major",
         "bits",
         "dup",
         "dc_counts",
@@ -124,6 +125,9 @@ class PossessionMatrix:
             [self.dc_ids[server_dc[n]] for n in names], dtype=np.int64
         )
         self.server_dc_list: List[int] = self.server_dc_ids.tolist()
+        # Server ids ordered by (DC id, server id): the router's holder
+        # layout, which keeps each DC's holders contiguous.
+        self.server_dc_major = np.argsort(self.server_dc_ids, kind="stable")
         capacity = max(64, block_capacity)
         capacity = (capacity + 63) & ~63  # whole uint64 words
         self._capacity = capacity

@@ -289,3 +289,139 @@ class TestShardedGoldenDeterminism:
         ev = _run_sharded(4, event=True, stride=2)
         assert tick.all_complete
         assert _fingerprint(tick) == _fingerprint(ev)
+
+
+# ---------------------------------------------------------------------------
+# Committed golden fingerprints: literal SimResult.fingerprint() digests
+# ---------------------------------------------------------------------------
+#
+# Unlike the A/B tests above, these compare against committed values, so
+# a change that moves every code path the same way still fails. The
+# scenario is multi-cycle (thin uplinks) with three jobs, fractional tail
+# blocks, and shared destinations, so the router's §5.1 merge, the
+# partial-first reorder, the rate-proportional block deal, and the
+# simulator's directive validation all run on every cycle.
+
+
+def _golden_scenario(relays: bool = False):
+    topo = Topology.full_mesh(
+        num_dcs=6, servers_per_dc=3, wan_capacity=8 * MBps, uplink=3 * MBps
+    )
+    jobs = []
+    for j, (src, size) in enumerate(
+        [("dc0", 96.5 * MB), ("dc1", 72.25 * MB), ("dc0", 40 * MB)]
+    ):
+        job = MulticastJob(
+            job_id=f"g{j}",
+            src_dc=src,
+            dst_dcs=tuple(
+                f"dc{i}" for i in range(5) if f"dc{i}" != src
+            ),
+            total_bytes=size,
+            block_size=4 * MB,
+            relay_dcs=("dc5",) if relays else (),
+        )
+        job.bind(topo)
+        jobs.append(job)
+    return topo, jobs
+
+
+def _golden_run(variant: str) -> SimResult:
+    from repro.baselines.gingko import GingkoStrategy
+    from repro.core.config import BDSConfig
+    from repro.core.controller import BDSController
+
+    topo, jobs = _golden_scenario(relays=variant == "relays")
+    bds = {
+        "fptas": dict(routing_backend="fptas", epsilon=0.25),
+        "no-merge": dict(merge_blocks=False),
+        "sharded-affinity": dict(
+            shards=4, shard_partition="affinity", shard_stride=1
+        ),
+        "one-source": dict(max_sources_per_group=1),
+        "speculation": dict(speculation_horizon=1.0),
+    }.get(variant, {})
+    sim_cfg = {
+        "dict-store": dict(vectorized_store=False),
+        "tick-legacy": dict(event_engine=False, incremental_engine=False),
+    }.get(variant, {})
+    failures = None
+    if variant == "failures":
+        failures = FailureSchedule(
+            [
+                FailureEvent(cycle=1, kind="agent_fail", target="dc1-s0"),
+                FailureEvent(cycle=2, kind="link_fail", target=("dc0", "dc2")),
+                FailureEvent(cycle=5, kind="agent_recover", target="dc1-s0"),
+                FailureEvent(cycle=7, kind="link_recover", target=("dc0", "dc2")),
+            ]
+        )
+    if variant == "gingko":
+        strategy = GingkoStrategy(seed=SEED)
+    else:
+        strategy = BDSController(BDSConfig(**bds))
+    return Simulation(
+        topology=topo,
+        jobs=jobs,
+        strategy=strategy,
+        config=SimConfig(**sim_cfg),
+        failures=failures,
+        seed=SEED,
+    ).run()
+
+
+#: Recorded before the array-native route-to-flow rewrite (DirectiveBatch),
+#: from the per-row source-pick loop and the per-block validation loop.
+GOLDEN_FINGERPRINTS = {
+    "uncapped-greedy": (
+        "23ccbbb9faf36b180934905ad6c1632e"
+        "6e5b59fed66d62cb6673a6ab7b933e2e"
+    ),
+    "relays": (
+        "6d4db8e3099c402a7799a9e68c991962"
+        "c06f99a3813ac97805037aeb4b4fd75e"
+    ),
+    "failures": (
+        "3a07e9823c31dbc479ff3fa43d48faa5"
+        "63f226b7a1183c2fc6525eb55ce324a0"
+    ),
+    "fptas": (
+        "57d4b67f6990c5c82007be5eae66cd50"
+        "f1b306aae3a282be8ca6fff90ac5bfcd"
+    ),
+    "no-merge": (
+        "a49b1feab8624ded8a067a687eb67414"
+        "b3ce1c59bc71809baf2b0b8038f9cdf8"
+    ),
+    "sharded-affinity": (
+        "cd9d81730e6c1a59f170ea5d4922b40f"
+        "90eb4b73049ce16d6e7f0f4c83352cfd"
+    ),
+    "gingko": (
+        "65e21eefba9bd9698b15f936ae689383"
+        "3108c597706e2e0e074d7534a79b7e78"
+    ),
+    "one-source": (
+        "7d9cd532cc8731d4765e4c55fc295f9f"
+        "3efc779d0d43fabd7cabce23d55b37f6"
+    ),
+    "speculation": (
+        "cf3c00fb0c41cb28fbfed8549248052a"
+        "b8d8d932426a857da44abc0363d3183d"
+    ),
+    "dict-store": (
+        "23ccbbb9faf36b180934905ad6c1632e"
+        "6e5b59fed66d62cb6673a6ab7b933e2e"
+    ),
+    "tick-legacy": (
+        "23ccbbb9faf36b180934905ad6c1632e"
+        "6e5b59fed66d62cb6673a6ab7b933e2e"
+    ),
+}
+
+
+class TestCommittedGoldenFingerprints:
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_FINGERPRINTS))
+    def test_fingerprint_matches_committed(self, variant):
+        result = _golden_run(variant)
+        assert result.all_complete
+        assert result.fingerprint() == GOLDEN_FINGERPRINTS[variant]

@@ -130,7 +130,7 @@ class TestRoutingBehavior:
         selections = RarestFirstScheduler().select(view)
         router = BDSRouter(max_sources_per_group=2)
         groups = router._build_groups(view, selections)
-        for (_job, _dst, sources) in groups:
+        for (_job, _dst, sources) in groups.keys:
             assert len(sources) <= 2
 
     def test_diagnostics_runtime_positive(self):

@@ -1,11 +1,17 @@
 """The cycle-driven simulator: directives, progress, completion, failures."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.base import OverlayStrategy
 from repro.net.background import BackgroundTraffic
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.simulator import (
+    DirectiveBatch,
+    SimConfig,
+    Simulation,
+    TransferDirective,
+)
 from repro.net.topology import Topology, wan_key
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
@@ -390,3 +396,218 @@ class TestPreSeeding:
         assert view.store.has("dc0-s0", ("j", 0))
         pending = view.pending_deliveries(job)
         assert len(pending) == 1
+
+
+# ---------------------------------------------------------------------------
+# Directive validation: every rule, on every kind of input
+# ---------------------------------------------------------------------------
+#
+# ``Simulation._valid_directives`` packs whatever the strategy returned
+# into a ``DirectiveBatch`` in the store's id space and validates the
+# arrays. Each rule is checked on a router-style batch (interned ids, no
+# materialized directives), on a baseline-style ``TransferDirective``
+# list, and on the dict-backed store, which has no matrix to intern into.
+
+INPUT_KINDS = ("router-batch", "list", "dict-store")
+
+
+def _validation_sim(kind: str) -> Simulation:
+    topo = Topology.full_mesh(
+        num_dcs=2, servers_per_dc=2, wan_capacity=1 * GB, uplink=10 * MBps
+    )
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1",), total_bytes=12 * MB,
+        block_size=4 * MB,
+    )
+    job.bind(topo)
+    sim = Simulation(
+        topology=topo,
+        jobs=[job],
+        strategy=ScriptedStrategy(lambda view: []),
+        config=SimConfig(vectorized_store=kind != "dict-store"),
+    )
+    # Server dc0-s0 holds every block; dc1-s1 already holds block 2.
+    sim.store.seed("dc0-s0", job.blocks)
+    sim.store.seed("dc1-s1", [job.blocks[2]])
+    return sim
+
+
+def _as_input(kind: str, sim: Simulation, directives):
+    if kind != "router-batch":
+        return list(directives)
+    matrix = sim.store.matrix
+    packed = DirectiveBatch.of(directives, matrix)
+    if (
+        (packed.src < 0).any()
+        or (packed.dst < 0).any()
+        or (packed.gids < 0).any()
+    ):
+        # Ids the matrix never interned: the batch lives in its own id
+        # space, as an unpickled or speculation-overlay batch does.
+        return DirectiveBatch.of(directives)
+    # What the router emits: ids in the store's matrix, nothing
+    # materialized yet.
+    return DirectiveBatch(
+        matrix,
+        packed.job_ids,
+        packed.src,
+        packed.dst,
+        packed.rate_caps,
+        packed.offsets,
+        packed.gids,
+    )
+
+
+def _d(src, dst, *indices, rate=None, job="j"):
+    return TransferDirective(
+        job_id=job,
+        block_ids=tuple(("j", i) for i in indices),
+        src_server=src,
+        dst_server=dst,
+        rate_cap=rate,
+    )
+
+
+class TestValidationRules:
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_unknown_source_raises(self, kind):
+        sim = _validation_sim(kind)
+        raw = _as_input(kind, sim, [_d("ghost", "dc1-s0", 0)])
+        with pytest.raises(KeyError, match="unknown source server 'ghost'"):
+            sim._valid_directives(raw, set())
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_unknown_destination_raises(self, kind):
+        sim = _validation_sim(kind)
+        raw = _as_input(kind, sim, [_d("dc0-s0", "ghost", 0)])
+        with pytest.raises(
+            KeyError, match="unknown destination server 'ghost'"
+        ):
+            sim._valid_directives(raw, set())
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_failed_agents_dropped_before_unknown_check(self, kind):
+        sim = _validation_sim(kind)
+        raw = _as_input(
+            kind,
+            sim,
+            [
+                _d("dc0-s1", "dc1-s0", 0),  # source failed
+                _d("dc0-s0", "dc1-s0", 1),  # destination failed
+                _d("ghost", "dc1-s1", 1),  # unknown, but a failed agent
+                _d("dc0-s0", "dc1-s1", 0, rate=5.0),
+            ],
+        )
+        valid = sim._valid_directives(raw, {"dc0-s1", "dc1-s0", "ghost"})
+        assert list(valid) == [_d("dc0-s0", "dc1-s1", 0, rate=5.0)]
+        valid = sim._valid_directives(
+            _as_input(kind, sim, [_d("dc0-s0", "dc1-s0", 0)]), {"dc0-s0"}
+        )
+        assert list(valid) == []
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_useless_blocks_filtered_in_order(self, kind):
+        sim = _validation_sim(kind)
+        # dc1-s0 lacks every block; dc1-s1 already holds block 2.
+        raw = _as_input(
+            kind,
+            sim,
+            [
+                _d("dc0-s0", "dc1-s1", 2, 1, 0, rate=7.0),
+                _d("dc1-s0", "dc0-s1", 0, 1),  # source holds nothing
+                _d("dc0-s0", "dc1-s0", 1, 2, 0),
+            ],
+        )
+        valid = sim._valid_directives(raw, set())
+        assert list(valid) == [
+            _d("dc0-s0", "dc1-s1", 1, 0, rate=7.0),
+            _d("dc0-s0", "dc1-s0", 1, 2, 0),
+        ]
+        assert isinstance(valid, DirectiveBatch)
+        assert valid.gids.tolist() == [
+            valid.space.block_gids[bid]
+            for d in valid
+            for bid in d.block_ids
+        ]
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_never_interned_blocks_dropped(self, kind):
+        sim = _validation_sim(kind)
+        raw = _as_input(
+            kind,
+            sim,
+            [
+                _d("dc0-s0", "dc1-s0", 0, 99, 1),
+                TransferDirective(
+                    job_id="other",
+                    block_ids=(("other", 0),),
+                    src_server="dc0-s0",
+                    dst_server="dc1-s0",
+                ),
+            ],
+        )
+        valid = sim._valid_directives(raw, set())
+        assert list(valid) == [_d("dc0-s0", "dc1-s0", 0, 1)]
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_directive_left_without_blocks_dropped(self, kind):
+        sim = _validation_sim(kind)
+        raw = _as_input(
+            kind,
+            sim,
+            [
+                _d("dc0-s0", "dc1-s1", 2),  # destination holds it
+                _d("dc0-s0", "dc1-s0", 2, rate=1.0),
+            ],
+        )
+        valid = sim._valid_directives(raw, set())
+        assert list(valid) == [_d("dc0-s0", "dc1-s0", 2, rate=1.0)]
+        assert len(valid) == 1
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_empty_input(self, kind):
+        sim = _validation_sim(kind)
+        assert list(sim._valid_directives(_as_input(kind, sim, []), set())) == []
+
+
+class TestDirectiveBatch:
+    def _batch(self):
+        return DirectiveBatch.of(
+            [
+                _d("a", "b", 0, 1, rate=2.0),
+                _d("c", "b", 2),
+                _d("a", "c", 3, 4, 5, rate=0.5),
+            ]
+        )
+
+    def test_sequence_protocol(self):
+        batch = self._batch()
+        assert len(batch) == 3
+        assert batch[1] == _d("c", "b", 2)
+        assert batch[-1] == _d("a", "c", 3, 4, 5, rate=0.5)
+        assert batch[:2] == [_d("a", "b", 0, 1, rate=2.0), _d("c", "b", 2)]
+        assert batch == list(batch)
+        assert list(batch) + [] == list(batch)
+
+    def test_take_and_keep_blocks(self):
+        batch = self._batch()
+        sub = batch.take([2, 0])
+        assert list(sub) == [batch[2], batch[0]]
+        keep = np.array([True, False, False, True, False, True])
+        kept = batch.keep_blocks(keep)
+        assert list(kept) == [_d("a", "b", 0, rate=2.0), _d("a", "c", 3, 5, rate=0.5)]
+
+    def test_pickles_as_directives(self):
+        import pickle
+
+        batch = self._batch()
+        clone = pickle.loads(pickle.dumps(batch))
+        assert isinstance(clone, DirectiveBatch)
+        assert clone == batch
+
+    def test_translates_between_spaces(self):
+        sim = _validation_sim("router-batch")
+        local = DirectiveBatch.of([_d("dc0-s0", "dc1-s0", 1, 0)])
+        moved = DirectiveBatch.of(local, sim.store.matrix)
+        assert moved.space is sim.store.matrix
+        assert list(moved) == list(local)
