@@ -338,13 +338,18 @@ def _golden_run(variant: str) -> SimResult:
         "sharded-affinity": dict(
             shards=4, shard_partition="affinity", shard_stride=1
         ),
+        # Speculation overlays make each shard decide on a sub-view of
+        # the shared store rather than on its own mirror.
+        "sharded-speculation": dict(
+            shards=4,
+            shard_partition="affinity",
+            shard_stride=1,
+            speculation_horizon=1.0,
+        ),
         "one-source": dict(max_sources_per_group=1),
         "speculation": dict(speculation_horizon=1.0),
     }.get(variant, {})
-    sim_cfg = {
-        "dict-store": dict(vectorized_store=False),
-        "tick-legacy": dict(event_engine=False, incremental_engine=False),
-    }.get(variant, {})
+    sim_cfg = {"tick": dict(event_engine=False)}.get(variant, {})
     failures = None
     if variant == "failures":
         failures = FailureSchedule(
@@ -371,6 +376,8 @@ def _golden_run(variant: str) -> SimResult:
 
 #: Recorded before the array-native route-to-flow rewrite (DirectiveBatch),
 #: from the per-row source-pick loop and the per-block validation loop.
+#: ``sharded-speculation`` was recorded later, while shards could still
+#: run on the shared store instead of their own mirrors; both agreed.
 GOLDEN_FINGERPRINTS = {
     "uncapped-greedy": (
         "23ccbbb9faf36b180934905ad6c1632e"
@@ -408,11 +415,11 @@ GOLDEN_FINGERPRINTS = {
         "cf3c00fb0c41cb28fbfed8549248052a"
         "b8d8d932426a857da44abc0363d3183d"
     ),
-    "dict-store": (
-        "23ccbbb9faf36b180934905ad6c1632e"
-        "6e5b59fed66d62cb6673a6ab7b933e2e"
+    "sharded-speculation": (
+        "85d0f8fec72b2a6c1eae9f0022f0fd49"
+        "77a88bafe48b1d20c8e803afb3db26eb"
     ),
-    "tick-legacy": (
+    "tick": (
         "23ccbbb9faf36b180934905ad6c1632e"
         "6e5b59fed66d62cb6673a6ab7b933e2e"
     ),
