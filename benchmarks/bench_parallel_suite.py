@@ -11,10 +11,6 @@ independent simulations) three ways:
   :class:`~repro.analysis.runcache.RunCache`, then a warm re-run that
   must be served entirely from disk.
 
-Also A/Bs the max-min fair allocator's incremental ``load`` bookkeeping
-against the in-tree rebuild-every-iteration reference at Fig. 11a flow
-counts (the satellite optimisation riding this PR).
-
 Run as a script to emit ``BENCH_parallel.json``::
 
     PYTHONPATH=src python benchmarks/bench_parallel_suite.py [--quick]
@@ -37,13 +33,11 @@ from pathlib import Path
 
 from repro.analysis.parallel import RunSpec, run_many
 from repro.analysis.runcache import RunCache
-from repro.net.flow import Flow, _max_min_fair_rates_reference, max_min_fair_rates
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
-from repro.utils.rng import make_rng
 from repro.utils.units import MB, MBps
 
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 FULL_STRATEGIES = ("bds", "gingko", "bullet", "akamai", "chain", "direct")
 QUICK_STRATEGIES = ("bds", "gingko", "direct")
@@ -53,11 +47,6 @@ QUICK_STRATEGIES = ("bds", "gingko", "direct")
 # to overlap.
 FULL_SIZES_MB = (1024, 2048)
 QUICK_SIZES_MB = (48,)
-
-# Progressive filling is O(flows^2) when caps freeze flows one wave at a
-# time; 6k flows keeps the reference side of the A/B near half a minute.
-FULL_FLOWS = 6_000
-QUICK_FLOWS = 2_000
 
 
 def make_specs(quick: bool, seed: int = 7):
@@ -167,65 +156,8 @@ def measure_suite(quick: bool, workers: int, progress: bool) -> dict:
     }
 
 
-def measure_flow_alloc(quick: bool, seed: int = 0) -> dict:
-    """A/B the allocator's incremental load bookkeeping at Fig. 11a scale.
-
-    Synthetic but structurally faithful flow set: each flow crosses its
-    source server's uplink, one WAN pair, and its destination server's
-    downlink; caps and demands are drawn so freezes happen in many small
-    waves (the regime where rebuilding ``load`` every iteration hurts).
-    """
-    num_flows = QUICK_FLOWS if quick else FULL_FLOWS
-    rng = make_rng(seed)
-    num_servers = 400
-    num_dcs = 20
-
-    capacities = {}
-    for s in range(num_servers):
-        capacities[("up", s)] = float(rng.uniform(20, 60)) * MBps
-        capacities[("down", s)] = float(rng.uniform(20, 60)) * MBps
-    for a in range(num_dcs):
-        for b in range(num_dcs):
-            if a != b:
-                capacities[("wan", a, b)] = float(rng.uniform(200, 900)) * MBps
-
-    flows = []
-    for i in range(num_flows):
-        src = int(rng.integers(0, num_servers))
-        dst = int(rng.integers(0, num_servers))
-        a, b = int(rng.integers(0, num_dcs)), int(rng.integers(0, num_dcs))
-        if a == b:
-            b = (a + 1) % num_dcs
-        flows.append(
-            Flow(
-                flow_id=i,
-                resources=(("up", src), ("wan", a, b), ("down", dst)),
-                rate_cap=float(rng.uniform(1, 30)) * MBps,
-                demand=float(rng.uniform(0.5, 20)) * MBps,
-            )
-        )
-
-    started = time.perf_counter()
-    reference = _max_min_fair_rates_reference(flows, capacities)
-    reference_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    incremental = max_min_fair_rates(flows, capacities)
-    incremental_s = time.perf_counter() - started
-
-    return {
-        "flows": num_flows,
-        "resources": len(capacities),
-        "reference_s": reference_s,
-        "incremental_s": incremental_s,
-        "speedup": reference_s / max(incremental_s, 1e-9),
-        "identical": reference == incremental,
-    }
-
-
 def format_report(payload: dict) -> str:
     suite = payload["suite"]
-    alloc = payload["flow_alloc"]
     return (
         f"[parallel suite] {suite['runs']} runs, "
         f"workers={suite['workers']}, cpu_count={payload['cpu_count']}\n"
@@ -237,11 +169,7 @@ def format_report(payload: dict) -> str:
         f"warm cache {suite['warm_cache']['wall_s']:.2f}s "
         f"({suite['warm_cache']['fraction_of_cold']:.1%} of cold) "
         f"{suite['warm_cache']['stats']}\n"
-        f"identical results across all modes: {suite['identical_results']}\n"
-        f"[flow alloc] {alloc['flows']} flows / {alloc['resources']} "
-        f"resources: reference {alloc['reference_s']:.3f}s vs incremental "
-        f"{alloc['incremental_s']:.3f}s -> {alloc['speedup']:.2f}x "
-        f"(identical: {alloc['identical']})"
+        f"identical results across all modes: {suite['identical_results']}"
     )
 
 
@@ -251,7 +179,6 @@ def run_bench(quick: bool, workers: int, progress: bool = False) -> dict:
         "quick": quick,
         "cpu_count": os.cpu_count() or 1,
         "suite": measure_suite(quick, workers, progress),
-        "flow_alloc": measure_flow_alloc(quick),
     }
 
 
@@ -265,7 +192,6 @@ def test_parallel_suite(benchmark, report):
     assert suite["identical_results"]
     assert suite["warm_cache"]["stats"]["hits"] >= 1
     assert suite["warm_cache"]["stats"]["misses"] == 0
-    assert payload["flow_alloc"]["identical"]
 
 
 def main(argv=None) -> int:
@@ -307,9 +233,6 @@ def main(argv=None) -> int:
     failed = False
     if not suite["identical_results"]:
         print("FAIL: parallel/cached results diverged from serial", file=sys.stderr)
-        failed = True
-    if not payload["flow_alloc"]["identical"]:
-        print("FAIL: incremental allocator diverged from reference", file=sys.stderr)
         failed = True
     if suite["warm_cache"]["stats"]["misses"] > 0:
         print("FAIL: warm cache pass missed", file=sys.stderr)

@@ -13,8 +13,6 @@ import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.metrics import summarize
 from repro.analysis.runner import make_strategy, run_simulation
 from repro.baselines.ideal import ideal_server_times
@@ -985,682 +983,4 @@ def exp_fig13c_origin_fraction(
     below = sum(1 for f in fractions if f <= 0.2) / max(len(fractions), 1)
     return Fig13cResult(
         origin_fractions=fractions, fraction_servers_below_20pct=below
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hot-path benchmark — incremental cycle-state engine vs the legacy scans
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PerfHotpathsResult:
-    """A/B measurement of the incremental cycle-state engine.
-
-    ``run_*`` fields time a multi-cycle steady-state simulation at the
-    largest Fig. 11a scale (≈``state_pairs`` (block, destination) pairs of
-    controller state, most already replicated — the regime where the
-    controller ticks every ΔT over a largely-complete state).
-    ``decide_*`` fields time one cold controller decision over a fully
-    pending state of the same size (the classic Fig. 11a point).
-    """
-
-    state_pairs: int
-    cycles: int
-    run_legacy_s: float
-    run_incremental_s: float
-    run_speedup: float
-    decide_legacy_s: float
-    decide_incremental_s: float
-    decide_speedup: float
-    legacy_stage_totals: Dict[str, float]
-    incremental_stage_totals: Dict[str, float]
-    cache_stats: Dict[str, int]
-    identical_results: bool
-
-
-def _hotpath_sim(
-    num_blocks: int,
-    incremental: bool,
-    seed: SeedLike,
-    steady_state: bool,
-    vectorized: bool = True,
-    max_blocks_per_cycle: int = 0,
-    vectorized_flow: bool = True,
-) -> Simulation:
-    """The A/B scenario: 4-DC mesh, one destination DC on a thin link.
-
-    With ``steady_state`` two destination DCs are pre-seeded complete and
-    the thin one is 95 % complete, so the run spends its cycles on a
-    small trickle of remaining work while the controller's total state
-    keeps its full size — the case the incremental engine targets.
-    ``vectorized`` selects the possession-store backend (see
-    ``SimConfig.vectorized_store``); ``vectorized_flow`` the data-plane
-    kernels (``SimConfig.vectorized_flow``); ``max_blocks_per_cycle``
-    caps the controller's per-cycle selection (the Eq. 3 work bound used
-    by the 10^6-pair ΔT-budget demonstration).
-    """
-    dcs = [f"dc{i}" for i in range(4)]
-    topo = Topology()
-    for dc in dcs:
-        topo.add_dc(dc)
-        for s in range(8):
-            topo.add_server(
-                f"{dc}-s{s}", dc, uplink=50 * MBps, downlink=50 * MBps
-            )
-    for a in dcs:
-        for b in dcs:
-            if a == b:
-                continue
-            topo.add_link(a, b, 5 * MBps if b == "dc3" else 1 * GB)
-    job = MulticastJob(
-        job_id="scale",
-        src_dc="dc0",
-        dst_dcs=("dc1", "dc2", "dc3"),
-        total_bytes=num_blocks * MB,
-        block_size=1 * MB,
-    )
-    job.bind(topo)
-    pre_seeded: Dict[str, List] = {}
-    if steady_state:
-        for dc in ("dc1", "dc2", "dc3"):
-            for block in job.blocks:
-                if dc == "dc3" and block.index % 20 == 0:
-                    continue  # the 5 % tail dc3 is still missing
-                server = job.assigned_server(dc, block.block_id)
-                pre_seeded.setdefault(server, []).append(block)
-    controller_config = None
-    if max_blocks_per_cycle:
-        from repro.core.config import BDSConfig
-
-        controller_config = BDSConfig(max_blocks_per_cycle=max_blocks_per_cycle)
-    return Simulation(
-        topology=topo,
-        jobs=[job],
-        strategy=BDSController(config=controller_config, seed=seed),
-        seed=seed,
-        config=SimConfig(
-            incremental_engine=incremental,
-            vectorized_store=vectorized,
-            vectorized_flow=vectorized_flow,
-        ),
-        pre_seeded=pre_seeded or None,
-    )
-
-
-def exp_perf_hotpaths(
-    num_blocks: int = 33_334, seed: SeedLike = 0
-) -> PerfHotpathsResult:
-    """Time the legacy engine against the incremental one (both ways).
-
-    The default ``num_blocks`` puts ≈10^5 (block, destination) pairs in
-    the controller state — the largest Fig. 11a scalability point. The
-    multi-cycle run must produce bit-identical completion metrics and
-    per-cycle delivery counts in both modes; ``identical_results``
-    records the comparison.
-    """
-    # Both arms run the dict-of-sets store + scalar scheduler: this
-    # experiment isolates the incremental cycle-state engine, and the
-    # array-native control plane (measured by exp_scheduler_kernel) must
-    # not inflate either side of the comparison.
-    walls: Dict[bool, float] = {}
-    results: Dict[bool, SimResult] = {}
-    for incremental in (False, True):
-        sim = _hotpath_sim(
-            num_blocks,
-            incremental,
-            seed=seed,
-            steady_state=True,
-            vectorized=False,
-        )
-        started = _time.perf_counter()
-        results[incremental] = sim.run()
-        walls[incremental] = _time.perf_counter() - started
-        if incremental:
-            cache_stats = sim._cycle_cache.stats()
-    legacy, incr = results[False], results[True]
-    identical = (
-        legacy.job_completion == incr.job_completion
-        and legacy.server_completion == incr.server_completion
-        and legacy.dc_completion == incr.dc_completion
-        and legacy.blocks_per_cycle() == incr.blocks_per_cycle()
-    )
-
-    decide: Dict[bool, float] = {}
-    for incremental in (False, True):
-        sim = _hotpath_sim(
-            num_blocks,
-            incremental,
-            seed=seed,
-            steady_state=False,
-            vectorized=False,
-        )
-        view = sim.snapshot_view()
-        started = _time.perf_counter()
-        sim.strategy.decide(view)
-        decide[incremental] = _time.perf_counter() - started
-
-    return PerfHotpathsResult(
-        state_pairs=3 * num_blocks,
-        cycles=incr.cycles_run,
-        run_legacy_s=walls[False],
-        run_incremental_s=walls[True],
-        run_speedup=walls[False] / max(walls[True], 1e-9),
-        decide_legacy_s=decide[False],
-        decide_incremental_s=decide[True],
-        decide_speedup=decide[False] / max(decide[True], 1e-9),
-        legacy_stage_totals=legacy.stage_time_totals(),
-        incremental_stage_totals=incr.stage_time_totals(),
-        cache_stats=cache_stats,
-        identical_results=identical,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scheduler-kernel benchmark — array-native control plane vs the scalar path
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SchedulerKernelResult:
-    """A/B measurement of the array-native control plane.
-
-    Both arms run the incremental cycle-state engine; they differ only in
-    ``SimConfig.vectorized_store`` — the scalar arm uses the dict-of-sets
-    possession index and the per-candidate scheduler/router loops, the
-    vectorized arm the packed bitset matrix, the candidate-array kernel,
-    and the batched interned-id router build. ``schedule_*`` / ``decide_*``
-    are per-stage wall-clock totals over the steady-state run (the regime
-    where the controller ticks every ΔT over a mostly-replicated state);
-    ``cold_decide_*`` times one decision over a fully pending state.
-
-    The ``budget_*`` fields record the 10^6-pair ΔT-budget demonstration:
-    one cold controller decision over ``budget_pairs`` pending (block,
-    destination) pairs with the Eq. 3-style per-cycle selection cap
-    ``budget_cap``, which must fit the paper's 3 s update interval.
-    """
-
-    state_pairs: int
-    cycles: int
-    run_scalar_s: float
-    run_vectorized_s: float
-    run_speedup: float
-    schedule_scalar_s: float
-    schedule_vectorized_s: float
-    schedule_speedup: float
-    decide_scalar_s: float
-    decide_vectorized_s: float
-    decide_speedup: float
-    cold_decide_scalar_s: float
-    cold_decide_vectorized_s: float
-    cold_decide_speedup: float
-    scalar_stage_totals: Dict[str, float]
-    vectorized_stage_totals: Dict[str, float]
-    identical_results: bool
-    budget_pairs: int = 0
-    budget_cap: int = 0
-    budget_decide_s: float = 0.0
-    budget_directives: int = 0
-    budget_within_dt: bool = True
-
-
-def exp_scheduler_kernel(
-    num_blocks: int = 33_334,
-    seed: SeedLike = 0,
-    budget_blocks: int = 0,
-    budget_cap: int = 20_000,
-) -> SchedulerKernelResult:
-    """Time the scalar control plane against the array-native one.
-
-    The default ``num_blocks`` puts ~10^5 (block, destination) pairs in
-    the controller state (the largest Fig. 11a point). The steady-state
-    runs must produce bit-identical completion metrics, per-cycle
-    delivery counts, and byte counts in both modes (``identical_results``
-    also covers the run fingerprints). ``budget_blocks`` > 0 additionally
-    times one cold 3×``budget_blocks``-pair decision on the vectorized
-    plane with a ``budget_cap`` selection cap — the 10^6-pair ΔT-budget
-    demonstration.
-    """
-    walls: Dict[bool, float] = {}
-    results: Dict[bool, SimResult] = {}
-    for vectorized in (False, True):
-        sim = _hotpath_sim(
-            num_blocks,
-            incremental=True,
-            seed=seed,
-            steady_state=True,
-            vectorized=vectorized,
-        )
-        started = _time.perf_counter()
-        results[vectorized] = sim.run()
-        walls[vectorized] = _time.perf_counter() - started
-    scalar, vec = results[False], results[True]
-    identical = (
-        scalar.job_completion == vec.job_completion
-        and scalar.server_completion == vec.server_completion
-        and scalar.dc_completion == vec.dc_completion
-        and scalar.blocks_per_cycle() == vec.blocks_per_cycle()
-        and scalar.fingerprint() == vec.fingerprint()
-    )
-    scalar_stages = scalar.stage_time_totals()
-    vec_stages = vec.stage_time_totals()
-
-    cold: Dict[bool, float] = {}
-    for vectorized in (False, True):
-        sim = _hotpath_sim(
-            num_blocks,
-            incremental=True,
-            seed=seed,
-            steady_state=False,
-            vectorized=vectorized,
-        )
-        view = sim.snapshot_view()
-        started = _time.perf_counter()
-        sim.strategy.decide(view)
-        cold[vectorized] = _time.perf_counter() - started
-
-    budget_pairs = 0
-    budget_s = 0.0
-    budget_directives = 0
-    if budget_blocks:
-        sim = _hotpath_sim(
-            budget_blocks,
-            incremental=True,
-            seed=seed,
-            steady_state=False,
-            vectorized=True,
-            max_blocks_per_cycle=budget_cap,
-        )
-        budget_pairs = 3 * budget_blocks
-        view = sim.snapshot_view()
-        started = _time.perf_counter()
-        budget_directives = len(sim.strategy.decide(view))
-        budget_s = _time.perf_counter() - started
-
-    return SchedulerKernelResult(
-        state_pairs=3 * num_blocks,
-        cycles=vec.cycles_run,
-        run_scalar_s=walls[False],
-        run_vectorized_s=walls[True],
-        run_speedup=walls[False] / max(walls[True], 1e-9),
-        schedule_scalar_s=scalar_stages["schedule"],
-        schedule_vectorized_s=vec_stages["schedule"],
-        schedule_speedup=scalar_stages["schedule"]
-        / max(vec_stages["schedule"], 1e-9),
-        decide_scalar_s=scalar_stages["decide"],
-        decide_vectorized_s=vec_stages["decide"],
-        decide_speedup=scalar_stages["decide"]
-        / max(vec_stages["decide"], 1e-9),
-        cold_decide_scalar_s=cold[False],
-        cold_decide_vectorized_s=cold[True],
-        cold_decide_speedup=cold[False] / max(cold[True], 1e-9),
-        scalar_stage_totals=scalar_stages,
-        vectorized_stage_totals=vec_stages,
-        identical_results=identical,
-        budget_pairs=budget_pairs,
-        budget_cap=budget_cap if budget_blocks else 0,
-        budget_decide_s=budget_s,
-        budget_directives=budget_directives,
-        budget_within_dt=(budget_s <= 3.0) if budget_blocks else True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Flow-kernel benchmark — array data plane vs the scalar rate/delivery path
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlowScalePoint:
-    """One synthetic A/B point at a fixed flow/event count.
-
-    The waterfill and clip kernels run over the same random flow
-    population; the delivery pass applies ``flows`` random (block,
-    destination) events to two fresh possession indexes — one looping
-    ``record_delivery`` per pair (the old simulator path), one through
-    the batched ``record_deliveries``. ``combined_speedup`` is the
-    rate+deliver aggregate: scalar seconds over vectorized seconds
-    across all three kernels.
-    """
-
-    flows: int
-    entries: int  # total flow×resource incidence entries
-    resources: int
-    waterfill_scalar_s: float
-    waterfill_vectorized_s: float
-    waterfill_speedup: float
-    clip_scalar_s: float
-    clip_vectorized_s: float
-    clip_speedup: float
-    deliver_events: int
-    deliver_scalar_s: float
-    deliver_vectorized_s: float
-    deliver_speedup: float
-    combined_speedup: float
-    identical_results: bool
-
-
-@dataclass
-class FlowKernelResult:
-    """A/B measurement of the vectorized data plane.
-
-    ``scale_points`` isolate the rate and delivery kernels on synthetic
-    inputs of increasing size (same flows/events, both implementations,
-    exact equality asserted); ``kernel_combined_speedup`` — the largest
-    point's rate+deliver aggregate — is the headline number. The
-    ``sim_*``/``run_*`` fields time a whole delivery-heavy Gingko
-    simulation with ``SimConfig(vectorized_flow=...)`` flipped — the
-    scalar arm runs the dict waterfill and per-pair delivery
-    application, the vectorized arm the array waterfill and the batched
-    ``PossessionIndex.record_deliveries`` pass; ``combined_speedup`` is
-    the same rate_resolve+deliver ratio measured end to end at the
-    simulator's natural per-cycle scale (hundreds of flows, where the
-    stage also carries the engine's flow bookkeeping common to both
-    arms). The ``budget_*`` fields record the 10^6-pair all-stage
-    demonstration: full steady-state cycles
-    (view/schedule/route/rate/deliver) whose worst cycle must fit the
-    paper's 3 s ΔT.
-    """
-
-    scale_points: List[FlowScalePoint]
-    kernel_combined_speedup: float  # largest scale point's rate+deliver ratio
-    sim_cycles: int
-    sim_deliveries: int
-    run_scalar_s: float
-    run_vectorized_s: float
-    run_speedup: float
-    rate_scalar_s: float
-    rate_vectorized_s: float
-    rate_speedup: float
-    deliver_scalar_s: float
-    deliver_vectorized_s: float
-    deliver_speedup: float
-    apply_scalar_s: float
-    apply_vectorized_s: float
-    combined_speedup: float
-    identical_results: bool
-    budget_pairs: int = 0
-    budget_cap: int = 0
-    budget_cycles: int = 0
-    budget_worst_cycle_s: float = 0.0
-    budget_within_dt: bool = True
-
-
-def _synthetic_flow_set(num_flows: int, num_resources: int, seed: SeedLike):
-    """Bulk-generate a random flow population over a shared resource pool.
-
-    Paths are 2–4 resources drawn uniformly (duplicates within a path are
-    legal and counted identically by both kernels); demands and rate caps
-    come from discrete choice sets so freezes cluster into a handful of
-    levels, like real per-cycle flow sets do.
-    """
-    from repro.net.flow import Flow
-
-    rng = make_rng(seed)
-    keys = [("wan", f"n{i // 16}", f"p{i % 16}") for i in range(num_resources)]
-    cap_choices = np.array([50.0, 120.0, 250.0, 600.0, 1500.0])
-    capacities = {
-        k: float(c)
-        for k, c in zip(keys, rng.choice(cap_choices, size=num_resources))
-    }
-    lens = rng.integers(2, 5, size=num_flows)
-    picks = rng.integers(0, num_resources, size=(num_flows, 4))
-    demand_choices = np.array([0.5, 2.0, 8.0, np.inf])
-    demands = rng.choice(demand_choices, size=num_flows)
-    has_cap = rng.random(num_flows) < 0.25
-    cap_vals = rng.choice(np.array([1.0, 4.0, 16.0]), size=num_flows)
-    flows = [
-        Flow(
-            flow_id=i,
-            resources=tuple(keys[j] for j in picks[i, : lens[i]]),
-            demand=float(demands[i]),
-            rate_cap=float(cap_vals[i]) if has_cap[i] else None,
-        )
-        for i in range(num_flows)
-    ]
-    requested = {
-        i: float(r)
-        for i, r in enumerate(
-            rng.choice(np.array([0.2, 1.0, 3.0, 12.0]), size=num_flows)
-        )
-    }
-    return flows, capacities, requested
-
-
-def _delivery_ab(num_events: int, seed: SeedLike):
-    """Apply ``num_events`` random deliveries per-pair vs batched.
-
-    Both arms run matrix-backed :class:`~repro.overlay.store.
-    PossessionIndex` instances; they differ only in looping
-    ``record_delivery`` against one ``record_deliveries`` call — exactly
-    the simulator's scalar/vectorized delivery-application split.
-    Returns ``(scalar_s, vectorized_s, identical)`` where ``identical``
-    covers the returned records, the provenance list, the epoch, and the
-    raw possession/duplicate/per-DC count arrays.
-    """
-    from repro.overlay.blocks import Block
-    from repro.overlay.store import PossessionIndex
-
-    rng = make_rng(seed)
-    server_dc = {f"dc{d}-s{s}": f"dc{d}" for d in range(20) for s in range(24)}
-    servers = sorted(server_dc)
-    num_blocks = max(1, num_events // 64)
-    blocks = [Block(job_id="dp", index=i, size=1.0) for i in range(num_blocks)]
-    bidx = rng.integers(0, num_blocks, size=num_events)
-    sidx = rng.integers(0, len(servers), size=num_events)
-    didx = rng.integers(0, len(servers), size=num_events)
-    events = [
-        (blocks[b], servers[s], servers[d], float(i), "dc0")
-        for i, (b, s, d) in enumerate(zip(bidx, sidx, didx))
-    ]
-
-    seq = PossessionIndex(server_dc)
-    started = _time.perf_counter()
-    out_seq = [seq.record_delivery(*event) for event in events]
-    t_seq = _time.perf_counter() - started
-
-    bat = PossessionIndex(server_dc)
-    started = _time.perf_counter()
-    out_bat = bat.record_deliveries(events)
-    t_bat = _time.perf_counter() - started
-
-    identical = (
-        out_seq == out_bat
-        and seq.deliveries == bat.deliveries
-        and seq.epoch == bat.epoch
-        and np.array_equal(seq.matrix._flat, bat.matrix._flat)
-        and np.array_equal(seq.matrix.dup, bat.matrix.dup)
-        and np.array_equal(seq.matrix.dc_counts, bat.matrix.dc_counts)
-    )
-    return t_seq, t_bat, identical
-
-
-def _flow_scale_point(num_flows: int, seed: SeedLike) -> FlowScalePoint:
-    from repro.net.flow import (
-        clip_rates_to_capacity_scalar,
-        clip_rates_to_capacity_vectorized,
-        max_min_fair_rates_scalar,
-        max_min_fair_rates_vectorized,
-    )
-
-    num_resources = 96
-    flows, capacities, requested = _synthetic_flow_set(
-        num_flows, num_resources, seed
-    )
-
-    started = _time.perf_counter()
-    wf_scalar = max_min_fair_rates_scalar(flows, capacities)
-    t_wf_scalar = _time.perf_counter() - started
-
-    started = _time.perf_counter()
-    wf_vec = max_min_fair_rates_vectorized(flows, capacities)
-    t_wf_vec = _time.perf_counter() - started
-
-    started = _time.perf_counter()
-    clip_scalar = clip_rates_to_capacity_scalar(flows, requested, capacities)
-    t_clip_scalar = _time.perf_counter() - started
-
-    started = _time.perf_counter()
-    clip_vec = clip_rates_to_capacity_vectorized(flows, requested, capacities)
-    t_clip_vec = _time.perf_counter() - started
-
-    t_del_scalar, t_del_vec, del_identical = _delivery_ab(num_flows, seed)
-
-    combined_scalar = t_wf_scalar + t_clip_scalar + t_del_scalar
-    combined_vec = t_wf_vec + t_clip_vec + t_del_vec
-    return FlowScalePoint(
-        flows=num_flows,
-        entries=sum(len(f.resources) for f in flows),
-        resources=num_resources,
-        waterfill_scalar_s=t_wf_scalar,
-        waterfill_vectorized_s=t_wf_vec,
-        waterfill_speedup=t_wf_scalar / max(t_wf_vec, 1e-9),
-        clip_scalar_s=t_clip_scalar,
-        clip_vectorized_s=t_clip_vec,
-        clip_speedup=t_clip_scalar / max(t_clip_vec, 1e-9),
-        deliver_events=num_flows,
-        deliver_scalar_s=t_del_scalar,
-        deliver_vectorized_s=t_del_vec,
-        deliver_speedup=t_del_scalar / max(t_del_vec, 1e-9),
-        combined_speedup=combined_scalar / max(combined_vec, 1e-9),
-        identical_results=(
-            wf_scalar == wf_vec and clip_scalar == clip_vec and del_identical
-        ),
-    )
-
-
-def _flow_sim(
-    num_blocks: int, vectorized_flow: bool, seed: SeedLike
-) -> Simulation:
-    """Delivery-heavy Gingko scenario: fat links, many receivers.
-
-    Wide neighbor views and high fetch parallelism keep hundreds of
-    concurrent flows and hundreds of block deliveries per cycle — the
-    regime where the per-cycle rate resolution and delivery application
-    show up in the simulator's stage clock.
-    """
-    from repro.baselines import GingkoStrategy
-
-    topo = Topology.full_mesh(
-        num_dcs=5, servers_per_dc=24, wan_capacity=10 * GB, uplink=100 * MBps
-    )
-    job = MulticastJob(
-        job_id="dataplane",
-        src_dc="dc0",
-        dst_dcs=tuple(f"dc{i}" for i in range(1, 5)),
-        total_bytes=num_blocks * MB,
-        block_size=1 * MB,
-    )
-    job.bind(topo)
-    return Simulation(
-        topology=topo,
-        jobs=[job],
-        strategy=GingkoStrategy(
-            view_size=48,
-            epoch_cycles=1,
-            fetch_parallelism=16,
-            blocks_per_request=12,
-            seed=seed,
-        ),
-        seed=seed,
-        config=SimConfig(vectorized_flow=vectorized_flow),
-    )
-
-
-def exp_flow_kernel(
-    scales: Sequence[int] = (6_000, 60_000, 600_000),
-    sim_blocks: int = 4_000,
-    seed: SeedLike = 0,
-    budget_blocks: int = 0,
-    budget_cap: int = 20_000,
-    budget_cycles: int = 3,
-) -> FlowKernelResult:
-    """Time the scalar data plane against the array kernels.
-
-    Synthetic points isolate the waterfill/clip at each scale in
-    ``scales``; the simulation A/B flips only
-    ``SimConfig.vectorized_flow`` and must be bit-identical
-    (fingerprints, per-cycle deliveries, and the full provenance record
-    list). ``budget_blocks`` > 0 additionally runs ``budget_cycles``
-    full steady-state cycles over 3×``budget_blocks`` (block,
-    destination) pairs on the all-vectorized plane with a ``budget_cap``
-    selection cap, recording the worst single-cycle stage total against
-    the 3 s ΔT.
-    """
-    points = [_flow_scale_point(n, seed) for n in scales]
-
-    walls: Dict[bool, float] = {}
-    results: Dict[bool, SimResult] = {}
-    for vectorized_flow in (False, True):
-        sim = _flow_sim(sim_blocks, vectorized_flow, seed=seed)
-        started = _time.perf_counter()
-        results[vectorized_flow] = sim.run()
-        walls[vectorized_flow] = _time.perf_counter() - started
-    scalar, vec = results[False], results[True]
-    identical = (
-        all(p.identical_results for p in points)
-        and scalar.job_completion == vec.job_completion
-        and scalar.server_completion == vec.server_completion
-        and scalar.dc_completion == vec.dc_completion
-        and scalar.blocks_per_cycle() == vec.blocks_per_cycle()
-        and scalar.fingerprint() == vec.fingerprint()
-        and scalar.store.deliveries == vec.store.deliveries
-    )
-    scalar_stages = scalar.stage_time_totals()
-    vec_stages = vec.stage_time_totals()
-    combined_scalar = scalar_stages["rate_resolve"] + scalar_stages["deliver"]
-    combined_vec = vec_stages["rate_resolve"] + vec_stages["deliver"]
-
-    budget_pairs = 0
-    budget_worst = 0.0
-    if budget_blocks:
-        sim = _hotpath_sim(
-            budget_blocks,
-            incremental=True,
-            seed=seed,
-            steady_state=True,
-            vectorized=True,
-            max_blocks_per_cycle=budget_cap,
-            vectorized_flow=True,
-        )
-        # The steady-state trickle would run for thousands of cycles on
-        # the thin link; the demonstration only needs a few full cycles.
-        sim.config.max_cycles = budget_cycles
-        result = sim.run()
-        budget_pairs = 3 * budget_blocks
-        budget_worst = max(
-            s.time_view_build
-            + s.time_decide
-            + s.time_schedule
-            + s.time_route
-            + s.time_rate_resolve
-            + s.time_deliver
-            for s in result.cycle_stats
-        )
-
-    return FlowKernelResult(
-        scale_points=points,
-        kernel_combined_speedup=points[-1].combined_speedup if points else 0.0,
-        sim_cycles=vec.cycles_run,
-        sim_deliveries=len(vec.store.deliveries),
-        run_scalar_s=walls[False],
-        run_vectorized_s=walls[True],
-        run_speedup=walls[False] / max(walls[True], 1e-9),
-        rate_scalar_s=scalar_stages["rate_resolve"],
-        rate_vectorized_s=vec_stages["rate_resolve"],
-        rate_speedup=scalar_stages["rate_resolve"]
-        / max(vec_stages["rate_resolve"], 1e-9),
-        deliver_scalar_s=scalar_stages["deliver"],
-        deliver_vectorized_s=vec_stages["deliver"],
-        deliver_speedup=scalar_stages["deliver"]
-        / max(vec_stages["deliver"], 1e-9),
-        apply_scalar_s=scalar_stages["deliver_apply"],
-        apply_vectorized_s=vec_stages["deliver_apply"],
-        combined_speedup=combined_scalar / max(combined_vec, 1e-9),
-        identical_results=identical,
-        budget_pairs=budget_pairs,
-        budget_cap=budget_cap if budget_blocks else 0,
-        budget_cycles=budget_cycles if budget_blocks else 0,
-        budget_worst_cycle_s=budget_worst,
-        budget_within_dt=(budget_worst <= 3.0) if budget_blocks else True,
     )

@@ -80,13 +80,10 @@ def run_simulation(
     record_link_stats: bool = False,
     config: Optional[BDSConfig] = None,
     safety_threshold: float = 0.8,
-    incremental_engine: bool = True,
     control_overhead_seconds: float = 0.0,
     flow_setup_seconds: float = 0.0,
     stop_when_complete: bool = True,
     links_of_interest: tuple = (),
-    vectorized_store: bool = True,
-    vectorized_flow: bool = True,
     event_engine: bool = True,
     record_cycle_stats: bool = True,
     shards: int = 1,
@@ -98,9 +95,8 @@ def run_simulation(
     """Run one strategy over the given jobs and return the result.
 
     Exposes every :class:`SimConfig` knob — including the
-    ``incremental_engine`` / ``vectorized_store`` / ``vectorized_flow`` /
-    ``event_engine`` A/B switches and the Fig. 12c overhead model — so
-    sweeps and the parallel engine can exercise both engines without
+    ``event_engine`` switch and the Fig. 12c overhead model — so sweeps
+    and the parallel engine can exercise both engines without
     hand-building a :class:`Simulation`. ``record_cycle_stats=False``
     drops the per-cycle records for day-scale horizons where the stats
     list would dominate memory.
@@ -145,13 +141,10 @@ def run_simulation(
             max_cycles=max_cycles,
             record_link_stats=record_link_stats,
             safety_threshold=safety_threshold,
-            incremental_engine=incremental_engine,
             control_overhead_seconds=control_overhead_seconds,
             flow_setup_seconds=flow_setup_seconds,
             stop_when_complete=stop_when_complete,
             links_of_interest=tuple(links_of_interest),
-            vectorized_store=vectorized_store,
-            vectorized_flow=vectorized_flow,
             event_engine=event_engine,
             record_cycle_stats=record_cycle_stats,
         ),

@@ -24,9 +24,9 @@ class BDSConfig:
     """Tunable parameters of the centralized control loop.
 
     ``cycle_seconds`` is the §5.2 ΔT the whole decide→deliver loop must
-    fit inside for centralized control to be feasible; the data-plane
-    benchmarks (``benchmarks/bench_flow_kernel.py``) measure full cycles
-    against exactly this budget. The per-directive rates the controller
+    fit inside for centralized control to be feasible; the end-to-end
+    benchmark (``perfbench/``) reports the per-decide wall times this
+    budget bounds. The per-directive rates the controller
     assigns are enforced downstream by the shared rate kernel
     (:func:`repro.net.flow.clip_rates_to_capacity`), which proportionally
     scales any resource the (possibly stale, §5.1) allocation
@@ -62,8 +62,10 @@ class BDSConfig:
     # scale-out"): partition the job set across this many controller
     # shards by a platform-stable seeded hash of job id
     # (repro.core.sharding). Each shard runs the full vectorized
-    # schedule+route pipeline on its own partition with its own
-    # CycleCache and FPTAS warm store; the shared link budgets are
+    # schedule+route pipeline against a partition-scoped mirror — its
+    # own PossessionIndex, CandidateTable, CycleCache and FPTAS warm
+    # store, fed by delivery-log watermark replay, so per-shard memory
+    # and cold-build work are O(pairs/shards); the shared link budgets are
     # reconciled by one outer max-min waterfill over all shards'
     # directives (repro.net.flow.max_min_fair_rates, the data plane's
     # own allocator). 1 keeps the single-controller path, bit-identical
@@ -103,14 +105,6 @@ class BDSConfig:
     # the same WAN links and the outer reconciliation clips fewer
     # directives.
     shard_partition: str = "hash"
-    # Shard-local state ownership (the default): each shard decides
-    # against a partition-scoped mirror — its own PossessionIndex
-    # (shard-local block interning), CandidateTable, and CycleCache fed
-    # by delivery-log watermark replay — so per-shard memory and
-    # cold-build work are O(pairs/shards). False restores the PR 7
-    # shared-store sub-views (results are identical either way; the
-    # equivalence tests assert it).
-    shard_local_state: bool = True
 
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:

@@ -18,19 +18,20 @@ except for WAN link budgets — blocks belong to exactly one job, so
 possession, scheduling, and routing all decompose — and each shard runs
 the full vectorized schedule+route pipeline on its own partition.
 
-By default (``shard_local_state=True``) each shard owns **only its
-partition's state**: a :class:`~repro.core.shardexec.ShardMirror` with a
-shard-local possession index, candidate table, and
-:class:`~repro.net.cycle_cache.CycleCache`, fed by delivery-log
-watermark replay (see :mod:`repro.core.shardexec`) — per-shard memory
-and cold-build work are O(pairs/shards). ``shard_local_state=False``
-restores the PR 7 shared-store sub-views; results are identical either
-way. The shared capacities are resolved afterwards by one outer max-min
-waterfill (:func:`repro.net.flow.max_min_fair_rates` — the data plane's
-own allocator) over every shard's directives against the
-budget-adjusted capacities, so no directive's cap exceeds its global
-fair share and the Fig. 10 "sum of assigned rates never exceeds the
-budget" property holds at the controller output already.
+Each shard owns **only its partition's state**: a
+:class:`~repro.core.shardexec.ShardMirror` with a shard-local possession
+index, candidate table, and :class:`~repro.net.cycle_cache.CycleCache`,
+fed by delivery-log watermark replay (see :mod:`repro.core.shardexec`) —
+per-shard memory and cold-build work are O(pairs/shards). Speculation
+overlays are the exception: their store shadows the real one, so shards
+decide on sub-views of the shared (overlaid) store instead, with
+identical results on the real store. The shared capacities are resolved
+afterwards by one outer max-min waterfill
+(:func:`repro.net.flow.max_min_fair_rates` — the data plane's own
+allocator) over every shard's directives against the budget-adjusted
+capacities, so no directive's cap exceeds its global fair share and the
+Fig. 10 "sum of assigned rates never exceeds the budget" property holds
+at the controller output already.
 
 ``shard_stride="auto"`` replaces the static decide cadence with an
 adaptive control law: the stride starts maximally staggered (stride =
@@ -83,10 +84,9 @@ _STRIDE_NARROW_FRACTION = 0.7
 class _ShardPipeline:
     """One shard's private control pipeline plus its replay state.
 
-    Each shard owns a scheduler, a router (with its own FPTAS warm
-    store), and a persistent :class:`CycleCache` — nothing here is
-    shared across shards, so in-process shard execution in index order
-    and process fan-out produce identical state evolution.
+    Each shard owns a scheduler and a router (with its own FPTAS warm
+    store) for the shared-store sub-views of speculation overlays —
+    nothing here is shared across shards.
 
     ``directives`` / ``context`` implement the stride cadence
     (``BDSConfig.shard_stride``): between a shard's decide turns its
@@ -96,7 +96,7 @@ class _ShardPipeline:
     failure/topology context forces an immediate fresh decide.
     """
 
-    __slots__ = ("scheduler", "router", "cache", "directives", "context")
+    __slots__ = ("scheduler", "router", "directives", "context")
 
     def __init__(self, config: BDSConfig) -> None:
         self.scheduler = RarestFirstScheduler(
@@ -109,7 +109,6 @@ class _ShardPipeline:
             max_sources_per_group=config.max_sources_per_group,
             merge_blocks=config.merge_blocks,
         )
-        self.cache = CycleCache()
         self.directives: Optional[List[TransferDirective]] = None
         self.context: Optional[tuple] = None
 
@@ -213,7 +212,7 @@ class BDSController(OverlayStrategy):
         )
 
     @property
-    def wants_shard_local_state(self) -> bool:
+    def uses_shard_mirrors(self) -> bool:
         """True when shards decide against partition-scoped mirrors.
 
         The :class:`~repro.net.simulator.Simulation` probes this to skip
@@ -222,7 +221,7 @@ class BDSController(OverlayStrategy):
         dead weight (only speculation-overlay cycles would miss it, on
         their already-scalar fallback path).
         """
-        return self.config.shards > 1 and self.config.shard_local_state
+        return self.config.shards > 1
 
     def _assign_shard(self, job: MulticastJob) -> int:
         """The job's shard, assigning it on first sight (sticky after)."""
@@ -350,8 +349,8 @@ class BDSController(OverlayStrategy):
             buckets[self._assign_shard(job)].append(job)
 
         # Exactness witness: a speculation overlay wraps the store, so
-        # the persistent per-shard caches (whose memos answer for the
-        # real store) must not be used for its sub-views.
+        # the shard mirrors (which track the real store) must not decide
+        # for it.
         exact = view.store is getattr(view, "_map_store", None)
         context = (view._failed_frozen, view.failed_links, view.topology.epoch)
 
@@ -400,23 +399,22 @@ class BDSController(OverlayStrategy):
         results: Optional[List[ShardResult]] = None
         if cfg.shard_mode == "process" and due and exact:
             results = self._process_decide(view, buckets, due)
-        if results is None and due and exact and cfg.shard_local_state:
-            # In-process partition-scoped mirrors (the default): each
-            # shard decides against its own possession index, candidate
-            # table, and cache, fed by watermark replay. Bit-identical
-            # to the shared-store sub-views below.
+        if results is None and due and exact:
+            # In-process partition-scoped mirrors: each shard decides
+            # against its own possession index, candidate table, and
+            # cache, fed by watermark replay.
             if self._shard_runner is None:
                 self._shard_runner = LocalShardRunner(cfg, self._shard_of_id)
             results = self._shard_runner.decide(view, buckets, due)
         if results is None:
-            # Shared-store sub-views: speculation overlays (whose store
-            # shadows the real one — mirrors must not ingest phantom
-            # copies) and shard_local_state=False.
+            # Shared-store sub-views for speculation overlays, whose
+            # store shadows the real one (mirrors must not ingest phantom
+            # copies). Each gets a fresh cache: memos of the overlay do
+            # not carry over to the next cycle's.
             results = []
             for s in due:
                 pipe = self._pipelines[s]
-                cache = pipe.cache if exact else CycleCache()
-                sub = view.with_jobs(buckets[s], cache=cache)
+                sub = view.with_jobs(buckets[s], cache=CycleCache())
                 started = _time.perf_counter()
                 selections = pipe.scheduler.select(sub)
                 dirs, diag = pipe.router.route(

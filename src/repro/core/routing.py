@@ -724,8 +724,8 @@ def _selection_rows(
     With the scheduler's :class:`SelectionBatch` over an exact possession
     matrix, the columns are the batch's interned ids and the holder pairs
     come from one rows × servers gather against the matrix bits (failed
-    agents masked out). Otherwise — speculation overlays, the dict-backed
-    store, the scalar scheduler — a fresh :class:`IdSpace` interns the
+    agents masked out). Otherwise — speculation overlays, the cached
+    scalar scheduler — a fresh :class:`IdSpace` interns the
     rows in the same sorted-name order and holders come from
     ``view.eligible_sources`` per distinct block.
     """
@@ -842,12 +842,8 @@ def _selection_rows(
 def _reach_memo(
     view: ClusterView, names: List[str]
 ) -> Tuple[np.ndarray, Dict[int, Optional[Tuple[ResourceKey, ...]]]]:
-    """The view's cached reachability table and path memo over ``names``
-    (fresh, empty ones when the view carries no cycle cache)."""
-    cache = view._cache
-    if cache is not None:
-        return cache.reach_table(view.topology.epoch, view.failed_links, names)
-    return np.full((len(names), len(names)), -1, dtype=np.int8), {}
+    """The view's cached reachability table and path memo over ``names``."""
+    return view._cache.reach_table(view.topology.epoch, view.failed_links, names)
 
 
 def _usable_pairs(view: ClusterView, rows: _Rows) -> Tuple[np.ndarray, np.ndarray]:

@@ -36,12 +36,13 @@ failure), so a mirror can never hold a copy the global store has lost.
 Because the mirror store answers straight from a live
 :class:`~repro.overlay.store.PossessionMatrix` and carries a candidate
 table, mirror decides run the *vectorized* scheduling kernel and the
-batched router build — bit-identical to the shared-store sub-view path
-by the array-control-plane equivalence guarantees (shard-local gid
+batched router build — bit-identical to deciding on sub-views of the
+shared store, as speculation overlays still do (shard-local gid
 numbering differs with arrival order, but nothing downstream compares
 gids across jobs; holders, duplicate counts, and iteration orders are
-equal), so neither ``shard_mode`` nor ``shard_local_state`` changes
-results. The equivalence tests assert this directly.
+equal), so ``shard_mode`` does not change results. The
+``sharded-speculation`` golden fingerprint covers the shared-store
+path.
 
 Determinism: the parent feeds and submits due shards in shard-index
 order and gathers results in the same order, so the combined directive
@@ -106,10 +107,9 @@ class ShardPayload:
     #: blocks (pickle size); in-process passes the live map (strategies
     #: only query their own blocks' keys, so results are identical).
     partials: Mapping[Tuple[BlockId, str], float] = field(default_factory=dict)
-    #: First payload only: the topology, store vectorization flag, and
-    #: controller config the mirror is built from.
+    #: First payload only: the topology and controller config the
+    #: mirror is built from.
     topology: Optional["Topology"] = None
-    vectorized: bool = True
     config: Optional["BDSConfig"] = None
 
     def approx_bytes(self) -> int:
@@ -156,8 +156,7 @@ class ShardResult:
     #: Shard-local state telemetry: possession-array bytes and candidate
     #: table bytes of the mirror after this decide, and the structural
     #: size of the delta payload that fed it. Zero on the shared-store
-    #: fallback path (``shard_local_state=False`` / speculation
-    #: overlays), which holds no per-shard state.
+    #: path of speculation overlays, which holds no per-shard state.
     state_bytes: int = 0
     candidate_bytes: int = 0
     payload_bytes: int = 0
@@ -182,11 +181,11 @@ class ShardMirror:
         self,
         topology: "Topology",
         config: "BDSConfig",
-        vectorized: bool = True,
         block_capacity: int = 64,
     ) -> None:
         from repro.core.routing import BDSRouter
         from repro.core.scheduling import RarestFirstScheduler
+        from repro.net.candidates import CandidateTable
         from repro.net.cycle_cache import CycleCache
         from repro.overlay.store import PossessionIndex
 
@@ -199,11 +198,8 @@ class ShardMirror:
         # Right-size the matrix to the partition: callers pass the block
         # count of the shard's first job batch, so per-shard possession
         # arrays start at ~pairs/k instead of the cluster-scale floor.
-        self.store = PossessionIndex(
-            server_dc, vectorized=vectorized, block_capacity=block_capacity
-        )
+        self.store = PossessionIndex(server_dc, block_capacity=block_capacity)
         self.jobs_by_id: Dict[str, "MulticastJob"] = {}
-        self.blocks_by_id: Dict[BlockId, object] = {}
         self.scheduler = RarestFirstScheduler(
             max_blocks_per_cycle=config.max_blocks_per_cycle,
             use_relays=config.use_relays,
@@ -215,67 +211,39 @@ class ShardMirror:
             merge_blocks=config.merge_blocks,
         )
         self.cache = CycleCache()
-        self.candidates = None
-        if self.store.matrix is not None:
-            from repro.net.candidates import CandidateTable
-
-            self.candidates = CandidateTable((), self.store.matrix)
+        self.candidates = CandidateTable((), self.store.matrix)
 
     def apply(self, payload: ShardPayload) -> None:
         """Fold one delta payload into the mirror (idempotent seeds).
 
-        With the matrix backing, each new job's blocks are interned as
-        one contiguous column range up front, so the holders snapshot
-        and the delivery replay land as whole-array ``set_many`` batches
-        (``base + block-index``) instead of per-block facade calls — the
-        final possession bits, duplicate counts, and epoch total are
-        identical to the sequential form (seeds are idempotent and
-        commute across distinct (server, block) pairs).
+        Each new job's blocks are interned as one contiguous column range
+        up front, so the holders snapshot and the delivery replay land as
+        whole-array ``set_many`` batches (``base + block-index``) instead
+        of per-block facade calls — the final possession bits, duplicate
+        counts, and epoch total are identical to seeding block by block
+        (seeds are idempotent and commute across distinct (server, block)
+        pairs).
         """
         store = self.store
         matrix = store.matrix
-        blocks_by_id = self.blocks_by_id
         job_base: Dict[str, int] = {}
         for job in payload.new_jobs:
             self.jobs_by_id[job.job_id] = job
-            if matrix is None:
-                # The per-block object map only serves the scalar seed
-                # path below; the matrix path addresses blocks by column
-                # id and never chases the 10^6 Block objects here.
-                for block in job.blocks:
-                    blocks_by_id[block.block_id] = block
-            if matrix is not None:
-                base = matrix.intern_block_range(
-                    job.job_id, len(job.blocks)
-                )
-                job_base[job.job_id] = base
-                if self.candidates is not None:
-                    self.candidates.ensure_job(
-                        job,
-                        gids=np.arange(
-                            base, base + len(job.blocks), dtype=np.int64
-                        ),
-                    )
-            elif self.candidates is not None:
-                self.candidates.ensure_job(job)
-        if matrix is not None:
-            for job_id, server, indices in payload.new_holders:
-                store.seed_gids(server, job_base[job_id] + indices)
-            if payload.deliveries:
-                gid_of = matrix.block_gids
-                by_server: Dict[str, List[int]] = {}
-                for block_id, dst in payload.deliveries:
-                    by_server.setdefault(dst, []).append(gid_of[block_id])
-                for dst, gids in by_server.items():
-                    store.seed_gids(
-                        dst, np.asarray(gids, dtype=np.int64)
-                    )
-        else:
-            for job_id, server, indices in payload.new_holders:
-                blocks = self.jobs_by_id[job_id].blocks
-                store.seed(server, [blocks[i] for i in indices])
+            base = matrix.intern_block_range(job.job_id, len(job.blocks))
+            job_base[job.job_id] = base
+            self.candidates.ensure_job(
+                job,
+                gids=np.arange(base, base + len(job.blocks), dtype=np.int64),
+            )
+        for job_id, server, indices in payload.new_holders:
+            store.seed_gids(server, job_base[job_id] + indices)
+        if payload.deliveries:
+            gid_of = matrix.block_gids
+            by_server: Dict[str, List[int]] = {}
             for block_id, dst in payload.deliveries:
-                store.seed(dst, (blocks_by_id[block_id],))
+                by_server.setdefault(dst, []).append(gid_of[block_id])
+            for dst, gids in by_server.items():
+                store.seed_gids(dst, np.asarray(gids, dtype=np.int64))
 
     def decide(self, payload: ShardPayload) -> ShardResult:
         """One schedule+route over the mirror for this payload's cycle."""
@@ -317,11 +285,7 @@ class ShardMirror:
             reuse_horizon=diag.reuse_horizon,
             wall=wall,
             state_bytes=self.store.state_bytes(),
-            candidate_bytes=(
-                self.candidates.state_bytes()
-                if self.candidates is not None
-                else 0
-            ),
+            candidate_bytes=self.candidates.state_bytes(),
             payload_bytes=payload.approx_bytes(),
         )
 
@@ -365,60 +329,40 @@ class ShardFeed:
         new_jobs = [job for job in bucket if job.job_id not in known]
         new_holders: List[Tuple[str, str, np.ndarray]] = []
         store = view.store
-        matrix = getattr(store, "matrix", None)
+        matrix = store.matrix
         for job in new_jobs:
             known.add(job.job_id)
-            if matrix is not None:
-                # One row-gather per (job, server) replaces the
-                # per-block holders() scan: gather the job's column ids
-                # once, then test each server's bit row against them.
-                # Keys are built as (job_id, index) tuples directly —
-                # block ids are exactly that, and skipping the Block
-                # objects keeps the gather from pointer-chasing 10^6
-                # dataclass instances inside the decide wall.
-                gid_map = matrix.block_gids
-                n_blocks = len(job.blocks)
-                job_id = job.job_id
-                get_gid = gid_map.get
-                gids = np.fromiter(
-                    (get_gid((job_id, i), -1) for i in range(n_blocks)),
-                    dtype=np.int64,
-                    count=n_blocks,
-                )
-                seen = gids >= 0
-                if not seen.any():
-                    continue
-                sub_gids = gids[seen]
-                sub_idx = np.flatnonzero(seen)
-                held = matrix.dup[sub_gids] > 0
-                if not held.any():
-                    continue
-                sub_gids = sub_gids[held]
-                sub_idx = sub_idx[held]
-                names = matrix.server_names
-                for sid in range(matrix.num_servers):
-                    mask = matrix.test_row_many(sid, sub_gids)
-                    if mask.any():
-                        new_holders.append(
-                            (job.job_id, names[sid], sub_idx[mask])
-                        )
-            else:
-                per_server: Dict[str, List[int]] = {}
-                for block in job.blocks:
-                    for server in store.holders(block.block_id):
-                        per_server.setdefault(server, []).append(
-                            block.index
-                        )
-                for server in sorted(per_server):
-                    new_holders.append(
-                        (
-                            job.job_id,
-                            server,
-                            np.asarray(
-                                per_server[server], dtype=np.int64
-                            ),
-                        )
-                    )
+            # One row-gather per (job, server) replaces a per-block
+            # holders() scan: gather the job's column ids once, then test
+            # each server's bit row against them. Keys are built as
+            # (job_id, index) tuples directly — block ids are exactly
+            # that, and skipping the Block objects keeps the gather from
+            # pointer-chasing 10^6 dataclass instances inside the decide
+            # wall.
+            gid_map = matrix.block_gids
+            n_blocks = len(job.blocks)
+            job_id = job.job_id
+            get_gid = gid_map.get
+            gids = np.fromiter(
+                (get_gid((job_id, i), -1) for i in range(n_blocks)),
+                dtype=np.int64,
+                count=n_blocks,
+            )
+            seen = gids >= 0
+            if not seen.any():
+                continue
+            sub_gids = gids[seen]
+            sub_idx = np.flatnonzero(seen)
+            held = matrix.dup[sub_gids] > 0
+            if not held.any():
+                continue
+            sub_gids = sub_gids[held]
+            sub_idx = sub_idx[held]
+            names = matrix.server_names
+            for sid in range(matrix.num_servers):
+                mask = matrix.test_row_many(sid, sub_gids)
+                if mask.any():
+                    new_holders.append((job.job_id, names[sid], sub_idx[mask]))
         log = store.deliveries
         watermark = self._watermarks[shard]
         shard_of = self._shard_of
@@ -454,18 +398,17 @@ class ShardFeed:
             deliveries=deliveries,
             partials=partials,
             topology=view.topology if first else None,
-            vectorized=getattr(store, "matrix", None) is not None,
             config=config if first else None,
         )
 
 
 class LocalShardRunner:
-    """In-process shard-local mirrors (``shard_local_state``, default).
+    """In-process shard-local mirrors (``shard_mode="inprocess"``).
 
     The in-process twin of :class:`ShardExecutor`: same feed, same
-    mirrors, no process boundary. Compared to the PR 7 shared-store
-    sub-views this trades one extra (partitioned) copy of possession
-    state for per-shard candidate tables and caches that are
+    mirrors, no process boundary. Compared to deciding on sub-views of
+    the shared store this trades one extra (partitioned) copy of
+    possession state for per-shard candidate tables and caches that are
     O(pairs/shards) — the memory shape that lets a shard lift out to its
     own process or host unchanged.
     """
@@ -494,7 +437,6 @@ class LocalShardRunner:
                 mirror = ShardMirror(
                     view.topology,
                     self.config,
-                    vectorized=payload.vectorized,
                     block_capacity=_payload_block_count(payload),
                 )
                 self._mirrors[shard] = mirror
@@ -509,12 +451,7 @@ class LocalShardRunner:
             if mirror is None:
                 continue
             out.append(
-                (
-                    mirror.store.state_bytes(),
-                    mirror.candidates.state_bytes()
-                    if mirror.candidates is not None
-                    else 0,
-                )
+                (mirror.store.state_bytes(), mirror.candidates.state_bytes())
             )
         return out
 
@@ -535,7 +472,6 @@ def _worker_decide(payload: ShardPayload) -> ShardResult:
         _MIRROR = ShardMirror(
             payload.topology,
             payload.config,
-            vectorized=payload.vectorized,
             block_capacity=_payload_block_count(payload),
         )
     _MIRROR.apply(payload)

@@ -170,7 +170,7 @@ class SpeculatedView(ClusterView):
         self._pending_map = base._pending_map
         self._relay_pending_map = base._relay_pending_map
         self._blocks_by_id = base._blocks_by_id
-        self._cache = CycleCache() if base._cache is not None else None
+        self._cache = CycleCache()
         self._failed_frozen = base._failed_frozen
         self._pending_order = base._pending_order
         self._relay_order = base._relay_order

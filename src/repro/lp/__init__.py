@@ -14,7 +14,6 @@ from repro.lp.fptas import (
     FPTASResult,
     FPTASWarmState,
 )
-from repro.lp.fptas_legacy import legacy_max_multicommodity_flow
 
 __all__ = [
     "LinearProgram",
@@ -29,5 +28,4 @@ __all__ = [
     "max_multicommodity_flow",
     "FPTASResult",
     "FPTASWarmState",
-    "legacy_max_multicommodity_flow",
 ]

@@ -10,10 +10,10 @@ matrix with array gathers.
 :class:`CandidateTable` materializes that decision space once per
 simulation as parallel int arrays (block column id, block index, assigned
 destination server id), grouped per (job, DC) in the exact enumeration
-order of the legacy scalar scan: for each job, destination DCs first (in
+order of the scalar scheduler's scan: for each job, destination DCs first (in
 ``job.dst_dcs`` order), then relay DCs, each group in ascending block
 index. The vectorized ``select`` concatenates the groups' still-alive
-rows, which reproduces the legacy insertion order — the tie-breaker of
+rows, which reproduces the scalar insertion order — the tie-breaker of
 the stable rarity sort — by construction.
 
 Groups track an ``alive`` row subset that is compacted lazily: when more
@@ -21,8 +21,8 @@ than half of a group's alive rows turn out possession-dead during a
 cycle's gather, the dead rows are dropped for good. Possession is
 monotone while a simulation runs (the simulator never drops copies
 mid-run; disk-loss enters as *agent* failure), so a dead candidate can
-never come back — the same never-re-add reasoning the incremental
-engine's pending maps rely on. Steady-state per-cycle cost therefore
+never come back — the same never-re-add reasoning the simulator's
+pending maps rely on. Steady-state per-cycle cost therefore
 tracks remaining work, not total state size.
 """
 

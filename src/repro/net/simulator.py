@@ -49,11 +49,6 @@ from repro.utils.validation import check_fraction, check_positive
 
 BlockId = Tuple[str, int]
 
-#: Below this many completed deliveries in a cycle the grouped numpy pass
-#: costs more than per-pair application; results are bit-identical either
-#: way, so small batches replay through the scalar path.
-_DELIVERY_BATCH_MIN = 32
-
 #: Fast-forward chunk cap: at most this many cycles are skipped per
 #: analytic pass. Bounds the O(k) cumsum buffers and, with per-cycle stats
 #: on, the stats appended per pass.
@@ -92,8 +87,8 @@ class IdSpace:
     in an *id space*: normally the live
     :class:`~repro.overlay.store.PossessionMatrix` (same attribute names:
     ``server_names``/``server_ids``/``block_names``/``block_gids``), and
-    this standalone table when there is no matrix to borrow — the
-    dict-backed store, speculation overlays, unpickled batches. Server ids
+    this standalone table when there is no matrix to borrow —
+    speculation overlays, unpickled batches. Server ids
     are assigned in the given order; blocks are interned on first sight.
     """
 
@@ -430,32 +425,6 @@ class SimConfig:
     # active in the previous cycle loses this much of the cycle before
     # transferring (Fig. 12c's third overhead source).
     flow_setup_seconds: float = 0.0
-    # Incremental cycle-state engine: thread the simulator's pending-
-    # delivery bookkeeping and a CycleCache into each ClusterView so the
-    # per-cycle cost tracks remaining work, not total state size. False
-    # reverts to the original O(total work) scan paths — kept as the
-    # in-tree baseline for the hot-path benchmark and the determinism
-    # A/B regression test; results are identical either way.
-    incremental_engine: bool = True
-    # Array-native control plane: back the possession index with a packed
-    # bitset PossessionMatrix and (with the incremental engine) feed the
-    # scheduler/router static candidate arrays + integer server/block ids
-    # so selection is a handful of numpy gathers and one stable sort.
-    # False reverts to the dict-of-sets store and the scalar scheduler —
-    # kept as the in-tree baseline for the scheduler-kernel benchmark and
-    # the determinism A/B tests; selections and directives are
-    # bit-identical either way.
-    vectorized_store: bool = True
-    # Array-native data plane: resolve flow rates with the vectorized
-    # waterfill/clip kernels (repro.net.flow) and apply each cycle's
-    # completed deliveries as one grouped possession pass
-    # (store.record_deliveries) instead of per-pair dict updates. False
-    # reverts to the scalar kernels and per-delivery bookkeeping — kept
-    # as the in-tree baseline for the flow-kernel benchmark and the
-    # determinism A/B tests; allocations and results are bit-identical
-    # either way. Batched delivery additionally needs the matrix store
-    # (vectorized_store=True); without it deliveries stay per-pair.
-    vectorized_flow: bool = True
     # Event-driven simulator core (§5.2: decisions stay valid until state
     # changes). When on, the loop (a) replays the previous decision while
     # its validity key — store/topology/partial-membership epochs, failure
@@ -703,12 +672,13 @@ class ClusterView:
     strategies must not mutate these mappings or hold a view across
     cycles (the next cycle reuses and mutates them in place).
 
-    When the simulator runs with the incremental engine (the default) it
-    also threads in its pending bookkeeping (``pending`` /
-    ``relay_pending`` / ``blocks_by_id``) and a :class:`CycleCache`, so
-    ``pending_deliveries`` iterates only still-missing entries and the
-    rarity/source/path queries are memoized. All fall back to the
-    original full scans when absent, with identical results.
+    The simulator also threads in its pending bookkeeping (``pending`` /
+    ``relay_pending`` / ``blocks_by_id``) and its persistent
+    :class:`CycleCache`, so ``pending_deliveries`` iterates only
+    still-missing entries and the rarity/source/path queries are
+    memoized. Without the pending maps (shard mirror views) the pending
+    accessors scan every (destination DC, block) pair, with identical
+    results; a view built without a cache gets a fresh one.
     """
 
     def __init__(
@@ -746,7 +716,7 @@ class ClusterView:
         self._pending_map = pending
         self._relay_pending_map = relay_pending
         self._blocks_by_id = blocks_by_id
-        self._cache = cache
+        self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
         # Ordered iteration hints for the pending maps (see the accessors)
         # plus the exactness witness: while the store object is this very
@@ -760,7 +730,7 @@ class ClusterView:
         self._map_epoch = getattr(store, "epoch", -1)
         # Static candidate arrays for the vectorized scheduling kernel
         # (see repro.net.candidates); None sends the scheduler down the
-        # scalar paths.
+        # cached scalar path.
         self._candidates = candidates
 
     def agent_is_up(self, server_id: str) -> bool:
@@ -830,13 +800,6 @@ class ClusterView:
         per (src, dst) pair while topology and failed links are unchanged.
         """
         cache = self._cache
-        if cache is None:
-            try:
-                return self.topology.flow_resources(
-                    src_server, dst_server, self.failed_links
-                )
-            except ValueError:
-                return None
         table = cache.validate_paths(self.topology.epoch, self.failed_links)
         key = (src_server, dst_server)
         try:
@@ -925,11 +888,6 @@ class ClusterView:
         block, so the second and later queries are dict hits.
         """
         cache = self._cache
-        if cache is None:
-            failed = self.failed_agents
-            return [
-                s for s in self.store.holders(block_id) if s not in failed
-            ]
         cache.validate_sources(self.store.epoch, self._failed_frozen)
         try:
             result = cache.sources[block_id]
@@ -949,8 +907,6 @@ class ClusterView:
     def duplicate_count(self, block_id: BlockId) -> int:
         """Cluster-wide copy count (§4.3 rarity), memoized per block id."""
         cache = self._cache
-        if cache is None:
-            return self.store.duplicate_count(block_id)
         cache.validate_sources(self.store.epoch, self._failed_frozen)
         count = cache.rarity.get(block_id)
         if count is None:
@@ -1052,9 +1008,7 @@ class Simulation:
         if not self.jobs:
             raise ValueError("need at least one job")
         server_dc = {s.server_id: s.dc for s in topology.servers.values()}
-        self.store = PossessionIndex(
-            server_dc, vectorized=self.config.vectorized_store
-        )
+        self.store = PossessionIndex(server_dc)
         for job in self.jobs:
             if not job.is_bound():
                 job.bind(topology)
@@ -1068,8 +1022,8 @@ class Simulation:
         self._partial: Dict[Tuple[BlockId, str], float] = {}
         # Pending (job, dc) -> set of (block_id, server) still missing,
         # plus an ordered list of the same entries (ascending block index,
-        # the legacy scan order). The set is the source of truth (_deliver
-        # discards from it); the list is an iteration hint the view
+        # the full-scan order). The set is the source of truth (delivery
+        # bookkeeping discards from it); the list is an iteration hint the view
         # compacts lazily, so pending iteration needs no per-cycle sort.
         self._pending: Dict[Tuple[str, str], Set[Tuple[BlockId, str]]] = {}
         self._pending_order: Dict[
@@ -1092,7 +1046,7 @@ class Simulation:
 
         # (job, relay dc) -> block ids the relay DC holds no copy of yet.
         # Mirrors what pending_relay_placements would compute by scanning;
-        # maintained incrementally by _deliver.
+        # maintained incrementally by _apply_deliveries.
         self._relay_pending: Dict[Tuple[str, str], Set[BlockId]] = {}
         self._relay_order: Dict[Tuple[str, str], List[BlockId]] = {}
         self._relay_dcs_by_job: Dict[str, Tuple[str, ...]] = {}
@@ -1112,9 +1066,8 @@ class Simulation:
         # _block_sizes as the matrix interns blocks.
         self._gid_sizes = np.empty(0)
         self._origin_dc: Dict[str, str] = {}
-        # Job lookup for the delivery bookkeeping: _deliver used to do an
-        # O(jobs) linear scan per completed DC. First-wins like the scan,
-        # should duplicate job ids ever appear.
+        # Job lookup for the delivery bookkeeping. First-wins, should
+        # duplicate job ids ever appear.
         self._jobs_by_id: Dict[str, MulticastJob] = {}
         for job in self.jobs:
             self._origin_dc[job.job_id] = job.src_dc
@@ -1127,23 +1080,18 @@ class Simulation:
         # parallel int arrays. Built once, after seeding (so pre-seeded
         # copies compact out on the first cycle's gather). Skipped when
         # the strategy decides against partition-scoped shard mirrors
-        # (BDSController with shards > 1 and shard_local_state): the
-        # mirrors build their own shard-scoped tables, O(pairs/shards)
-        # each, and a global O(pairs) build would be dead weight — only
-        # speculation-overlay cycles would miss it, on their
-        # already-scalar fallback path.
+        # (BDSController with shards > 1): the mirrors build their own
+        # shard-scoped tables, O(pairs/shards) each, and a global O(pairs)
+        # build would be dead weight — only speculation-overlay cycles
+        # would miss it, on their already-scalar fallback path.
         self._cand_table = None
-        if (
-            self.config.incremental_engine
-            and self.store.matrix is not None
-            and not getattr(strategy, "wants_shard_local_state", False)
-        ):
+        if not getattr(strategy, "uses_shard_mirrors", False):
             from repro.net.candidates import CandidateTable
 
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)
 
-        # Incremental-engine state: the persistent per-cycle query cache
-        # and the memoized capacity maps (see _bulk_capacities).
+        # The persistent per-cycle query cache and the memoized capacity
+        # maps (see _bulk_capacities).
         self._cycle_cache = CycleCache()
         self._wan_keys: Tuple[ResourceKey, ...] = tuple(topology.links)
         self._bulk_cache: Dict[float, Dict[ResourceKey, float]] = {}
@@ -1197,8 +1145,6 @@ class Simulation:
         them. The returned dicts are owned by the simulator and reused
         across cycles — consumers must not mutate or retain them.
         """
-        if not self.config.incremental_engine:
-            return self._bulk_capacities_legacy(now, respect_threshold)
         caps = self.topology.resource_capacities()
         if caps is not self._caps_ref:
             self._bulk_cache.clear()
@@ -1227,27 +1173,6 @@ class Simulation:
             if self.failures and not self.failures.link_is_up(key[1], key[2]):
                 usable = 0.0
             bulk[key] = usable
-        return bulk, online
-
-    def _bulk_capacities_legacy(
-        self, now: float, respect_threshold: bool
-    ) -> Tuple[Dict[ResourceKey, float], Dict[ResourceKey, float]]:
-        """The original full per-cycle rebuild (baseline reference)."""
-        caps = self.topology.resource_capacities()
-        online: Dict[ResourceKey, float] = {}
-        threshold = self.config.safety_threshold if respect_threshold else 1.0
-        bulk: Dict[ResourceKey, float] = {}
-        for key, cap in caps.items():
-            if key[0] == "wan":
-                used = (
-                    self.background.usage(key, now, cap) if self.background else 0.0
-                )
-                online[key] = used
-                bulk[key] = max(0.0, threshold * cap - used)
-                if self.failures and not self.failures.link_is_up(key[1], key[2]):
-                    bulk[key] = 0.0
-            else:
-                bulk[key] = cap
         return bulk, online
 
     # -- directive validation ----------------------------------------------------
@@ -1283,31 +1208,16 @@ class Simulation:
         gids = batch.gids
         src_rows = np.repeat(batch.src, counts)
         dst_rows = np.repeat(batch.dst, counts)
-        if matrix is not None:
-            # Ids the matrix never interned (-1) hold nothing; a server it
-            # does not know (added to the topology mid-run) can neither
-            # send nor receive. Unknown ids gather at id 0, then mask out.
-            known = (gids >= 0) & (src_rows >= 0) & (dst_rows >= 0)
-            gids = gids * known
-            useful = (
-                known
-                & matrix.test_many(src_rows * known, gids)
-                & ~matrix.test_many(dst_rows * known, gids)
-            )
-        else:
-            # The dict-backed store has no id space to gather in.
-            has = self.store.has
-            names = batch.space.server_names
-            blocks = batch.space.block_names
-            useful = np.array(
-                [
-                    has(names[s], blocks[g]) and not has(names[t], blocks[g])
-                    for s, t, g in zip(
-                        src_rows.tolist(), dst_rows.tolist(), gids.tolist()
-                    )
-                ],
-                dtype=bool,
-            )
+        # Ids the matrix never interned (-1) hold nothing; a server it does
+        # not know (added to the topology mid-run) can neither send nor
+        # receive. Unknown ids gather at id 0, then mask out.
+        known = (gids >= 0) & (src_rows >= 0) & (dst_rows >= 0)
+        gids = gids * known
+        useful = (
+            known
+            & matrix.test_many(src_rows * known, gids)
+            & ~matrix.test_many(dst_rows * known, gids)
+        )
         return batch.keep_blocks(useful)
 
     def _remaining_bytes(self, batch: DirectiveBatch) -> List[float]:
@@ -1358,7 +1268,6 @@ class Simulation:
         """
         respects = getattr(self.strategy, "respects_safety_threshold", False)
         bulk_caps, _online = self._bulk_capacities(cycle * self.config.cycle_seconds, respects)
-        incremental = self.config.incremental_engine
         return ClusterView(
             topology=self.topology,
             store=self.store,
@@ -1377,13 +1286,13 @@ class Simulation:
             failed_links=frozenset(self.failures.failed_links)
             if self.failures
             else frozenset(),
-            pending=self._pending if incremental else None,
-            relay_pending=self._relay_pending if incremental else None,
-            blocks_by_id=self._blocks_by_id if incremental else None,
-            cache=self._cycle_cache if incremental else None,
-            pending_order=self._pending_order if incremental else None,
-            relay_order=self._relay_order if incremental else None,
-            candidates=self._cand_table if incremental else None,
+            pending=self._pending,
+            relay_pending=self._relay_pending,
+            blocks_by_id=self._blocks_by_id,
+            cache=self._cycle_cache,
+            pending_order=self._pending_order,
+            relay_order=self._relay_order,
+            candidates=self._cand_table,
         )
 
     # -- main loop -------------------------------------------------------------
@@ -1441,7 +1350,6 @@ class Simulation:
         # (src, dst) pairs with an active flow last cycle: reused pairs skip
         # the TCP re-establishment cost.
         prev_pairs: Set[Tuple[str, str]] = set()
-        incremental = cfg.incremental_engine
         record_stats = cfg.record_cycle_stats
 
         # Event-engine gates. Reuse needs a strategy that certifies its
@@ -1587,13 +1495,13 @@ class Simulation:
                     controller_available=controller_ok,
                     partial_bytes=self._partial,
                     failed_links=failed_links,
-                    pending=self._pending if incremental else None,
-                    relay_pending=self._relay_pending if incremental else None,
-                    blocks_by_id=self._blocks_by_id if incremental else None,
-                    cache=self._cycle_cache if incremental else None,
-                    pending_order=self._pending_order if incremental else None,
-                    relay_order=self._relay_order if incremental else None,
-                    candidates=self._cand_table if incremental else None,
+                    pending=self._pending,
+                    relay_pending=self._relay_pending,
+                    blocks_by_id=self._blocks_by_id,
+                    cache=self._cycle_cache,
+                    pending_order=self._pending_order,
+                    relay_order=self._relay_order,
+                    candidates=self._cand_table,
                 )
                 decide_started = _time.perf_counter()
                 time_view_build = decide_started - stage_started
@@ -1616,17 +1524,9 @@ class Simulation:
                 for i, (s, t) in enumerate(
                     zip(directives.src.tolist(), directives.dst.tolist())
                 ):
-                    if incremental:
-                        resources = view.flow_resources(names[s], names[t])
-                        if resources is None:
-                            continue  # destination partitioned off this cycle
-                    else:
-                        try:
-                            resources = self.topology.flow_resources(
-                                names[s], names[t], failed_links
-                            )
-                        except ValueError:
-                            continue  # destination partitioned off this cycle
+                    resources = view.flow_resources(names[s], names[t])
+                    if resources is None:
+                        continue  # destination partitioned off this cycle
                     routed.append(i)
                     flow_resources.append(resources)
                 directives = directives.take(routed)
@@ -1671,31 +1571,20 @@ class Simulation:
                 for f in flows:
                     if requested[f.flow_id] == float("inf"):
                         requested[f.flow_id] = f.demand or 0.0
-                rates = clip_rates_to_capacity(
-                    flows, requested, bulk_caps, vectorized=cfg.vectorized_flow
-                )
+                rates = clip_rates_to_capacity(flows, requested, bulk_caps)
             else:
-                rates = max_min_fair_rates(
-                    flows,
-                    bulk_caps,
-                    stats=kernel_stats,
-                    vectorized=cfg.vectorized_flow,
-                )
+                rates = max_min_fair_rates(flows, bulk_caps, stats=kernel_stats)
             deliver_started = _time.perf_counter()
             time_rate_resolve = deliver_started - rate_started
 
             delivered = 0
             transferred = 0.0
             apply_seconds = 0.0
-            # Batched delivery: completed transfers queue up during the
-            # budget loop and land on the store/bookkeeping in one grouped
-            # pass afterwards. The budget loop never reads anything
-            # _deliver mutates (store, pending maps, completion dicts), so
-            # deferring the application is order-equivalent. Needs the
-            # matrix store for the grouped bit pass.
-            batch_deliver = (
-                cfg.vectorized_flow and self.store.matrix is not None
-            )
+            # Completed transfers queue up during the budget loop and land
+            # on the store/bookkeeping in one grouped pass afterwards. The
+            # budget loop never reads anything that pass mutates (store,
+            # pending maps, completion dicts), so deferring the
+            # application is order-equivalent.
             events: List[Tuple[str, Block, str, str, float]] = []
             current_pairs: Set[Tuple[str, str]] = set()
             names = directives.space.server_names
@@ -1742,23 +1631,7 @@ class Simulation:
                         setup = dt - window
                         finish = now + setup + (used / rate if rate > 0 else dt)
                         when = min(finish, cycle_end)
-                        if batch_deliver:
-                            events.append((job_id, block, src, dst, when))
-                        else:
-                            apply_started = _time.perf_counter()
-                            self._deliver(
-                                job_id,
-                                block,
-                                src,
-                                dst,
-                                when,
-                                job_completion,
-                                dc_completion,
-                                server_completion,
-                            )
-                            apply_seconds += (
-                                _time.perf_counter() - apply_started
-                            )
+                        events.append((job_id, block, src, dst, when))
                         delivered += 1
                     else:
                         if have == 0.0:
@@ -1769,25 +1642,10 @@ class Simulation:
 
             if events:
                 apply_started = _time.perf_counter()
-                if len(events) < _DELIVERY_BATCH_MIN:
-                    # Tiny batches: the numpy pass costs more than it
-                    # saves; replay per pair (bit-identical either way).
-                    for job_id, block, src, dst, when in events:
-                        self._deliver(
-                            job_id,
-                            block,
-                            src,
-                            dst,
-                            when,
-                            job_completion,
-                            dc_completion,
-                            server_completion,
-                        )
-                else:
-                    self._apply_deliveries(
-                        events, job_completion, dc_completion, server_completion
-                    )
-                apply_seconds += _time.perf_counter() - apply_started
+                self._apply_deliveries(
+                    events, job_completion, dc_completion, server_completion
+                )
+                apply_seconds = _time.perf_counter() - apply_started
 
             if record_stats:
                 time_schedule = decide_runtime
@@ -2104,14 +1962,13 @@ class Simulation:
     ) -> None:
         """Apply one cycle's completed transfers as a grouped pass.
 
-        Splits :meth:`_deliver` into (a) one batched possession and
-        provenance update via ``store.record_deliveries`` and (b) the
-        pending/server-missing/completion bookkeeping, replayed per event
-        in delivery order. The split is exact: the bookkeeping below
-        never reads the store, so landing every bit first is
-        indistinguishable from interleaving, and duplicate deliveries
-        still run their (idempotent) bookkeeping exactly as the scalar
-        path does.
+        Two steps: (a) one batched possession and provenance update via
+        ``store.record_deliveries``, and (b) the pending/server-missing/
+        completion bookkeeping, replayed per event in delivery order. The
+        split is exact: the bookkeeping below never reads the store, so
+        landing every bit first is indistinguishable from interleaving
+        per delivery, and duplicate deliveries still run their
+        (idempotent) bookkeeping.
         """
         origin = self._origin_dc
         self.store.record_deliveries(
@@ -2152,43 +2009,6 @@ class Simulation:
                     job_completion[job_id] = max(
                         dc_completion[(job_id, dc)] for dc in job.dst_dcs
                     )
-
-    def _deliver(
-        self,
-        job_id: str,
-        block: Block,
-        src_server: str,
-        dst_server: str,
-        when: float,
-        job_completion: Dict[str, float],
-        dc_completion: Dict[Tuple[str, str], float],
-        server_completion: Dict[Tuple[str, str], float],
-    ) -> None:
-        self.store.record_delivery(
-            block, src_server, dst_server, when, self._origin_dc[job_id]
-        )
-        dst_dc = self.store.dc_of(dst_server)
-        relay_pending = self._relay_pending.get((job_id, dst_dc))
-        if relay_pending is not None:
-            relay_pending.discard(block.block_id)
-        pending = self._pending.get((job_id, dst_dc))
-        if pending is None:
-            return  # delivery to a relay DC: useful, but not completion-tracked
-        entry = (block.block_id, dst_server)
-        if entry not in pending:
-            return  # block landed on a non-assigned server of a dest DC
-        pending.discard(entry)
-        skey = (job_id, dst_server)
-        self._server_missing[skey] -= 1
-        if self._server_missing[skey] == 0:
-            server_completion[skey] = when
-        if not pending:
-            dc_completion[(job_id, dst_dc)] = when
-            job = self._jobs_by_id[job_id]
-            if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
-                job_completion[job_id] = max(
-                    dc_completion[(job_id, dc)] for dc in job.dst_dcs
-                )
 
 
 class OverlayStrategyLike:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core import BDSController
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.cycle_cache import CycleCache
-from repro.net.simulator import SimConfig, Simulation
+from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
@@ -58,7 +58,6 @@ def _sim(num_dcs: int = 4, blocks: int = 12) -> Simulation:
         jobs=[job],
         strategy=BDSController(seed=0),
         seed=0,
-        config=SimConfig(incremental_engine=True),
     )
 
 
@@ -91,20 +90,6 @@ class TestSchedulerQueryDedupe:
         first = dict(counter.duplicate_count_calls)
         scheduler.select(view)
         assert counter.duplicate_count_calls == first
-
-    def test_legacy_view_queries_per_pair(self):
-        """Without a cache the original per-pair query pattern remains."""
-        sim = _sim()
-        sim.config.incremental_engine = False
-        view = sim.snapshot_view()
-        counter = CountingStore(sim.store)
-        view.store = counter
-
-        RarestFirstScheduler().select(view)
-        # One rarity query per (block, destination) pair: 3 per block.
-        assert all(
-            n == 3 for n in counter.duplicate_count_calls.values()
-        ), counter.duplicate_count_calls
 
 
 class TestViewCachedQueries:

@@ -1,9 +1,9 @@
 """Golden determinism regression: same seed => bit-identical results.
 
-The incremental cycle-state engine memoizes and mutates per-cycle state;
-any accidental dependence on set-iteration order or cache warm-up would
-show up here as a diff between two runs of the same scenario, or between
-the incremental engine and the legacy full-scan path it replaced.
+The simulator memoizes and mutates per-cycle state; any accidental
+dependence on set-iteration order or cache warm-up would show up here as
+a diff between two runs of the same scenario, or against the committed
+fingerprints at the end of this file.
 
 The scenario is the Fig. 9 BDS-vs-Gingko shape scaled down: one source
 DC multicasting to several destinations over a full mesh, run with both
@@ -26,9 +26,8 @@ SEED = 90  # the Fig. 9 headline seed
 
 def _run(
     strategy_name: str,
-    incremental: bool,
+    event: bool = True,
     with_failures: bool = False,
-    vectorized: bool = True,
 ) -> SimResult:
     topo = Topology.full_mesh(
         num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
@@ -55,9 +54,7 @@ def _run(
         topology=topo,
         jobs=[job],
         strategy=make_strategy(strategy_name, seed=SEED),
-        config=SimConfig(
-            incremental_engine=incremental, vectorized_store=vectorized
-        ),
+        config=SimConfig(event_engine=event),
         failures=failures,
         seed=SEED,
     )
@@ -76,58 +73,17 @@ def _fingerprint(result: SimResult):
 
 class TestGoldenDeterminism:
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_same_seed_same_result(self, strategy, incremental):
-        first = _run(strategy, incremental)
-        second = _run(strategy, incremental)
+    @pytest.mark.parametrize("event", [True, False])
+    def test_same_seed_same_result(self, strategy, event):
+        first = _run(strategy, event)
+        second = _run(strategy, event)
         assert first.all_complete
         assert _fingerprint(first) == _fingerprint(second)
 
-    @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    def test_incremental_matches_legacy(self, strategy):
-        incremental = _run(strategy, incremental=True)
-        legacy = _run(strategy, incremental=False)
-        assert incremental.all_complete
-        assert _fingerprint(incremental) == _fingerprint(legacy)
-
-    @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    def test_incremental_matches_legacy_under_failures(self, strategy):
-        incremental = _run(strategy, incremental=True, with_failures=True)
-        legacy = _run(strategy, incremental=False, with_failures=True)
-        assert _fingerprint(incremental) == _fingerprint(legacy)
-
     def test_repeated_runs_with_failures_identical(self):
-        first = _run("bds", incremental=True, with_failures=True)
-        second = _run("bds", incremental=True, with_failures=True)
+        first = _run("bds", with_failures=True)
+        second = _run("bds", with_failures=True)
         assert _fingerprint(first) == _fingerprint(second)
-
-
-class TestArrayNativeDeterminism:
-    """The array-native control plane must be bit-identical to the
-    dict-of-sets store + scalar scheduler/router it replaced."""
-
-    @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    def test_vectorized_matches_scalar(self, strategy):
-        vectorized = _run(strategy, incremental=True, vectorized=True)
-        scalar = _run(strategy, incremental=True, vectorized=False)
-        assert vectorized.all_complete
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
-
-    @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    def test_vectorized_matches_scalar_under_failures(self, strategy):
-        vectorized = _run(
-            strategy, incremental=True, with_failures=True, vectorized=True
-        )
-        scalar = _run(
-            strategy, incremental=True, with_failures=True, vectorized=False
-        )
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
-
-    def test_vectorized_matches_legacy_engine(self):
-        # Cross axis: array-native + incremental vs neither.
-        vectorized = _run("bds", incremental=True, vectorized=True)
-        legacy = _run("bds", incremental=False, vectorized=False)
-        assert _fingerprint(vectorized) == _fingerprint(legacy)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +251,8 @@ class TestShardedGoldenDeterminism:
 # Committed golden fingerprints: literal SimResult.fingerprint() digests
 # ---------------------------------------------------------------------------
 #
-# Unlike the A/B tests above, these compare against committed values, so
-# a change that moves every code path the same way still fails. The
+# Unlike the repeat tests above, these compare against committed values,
+# so a change that moves every code path the same way still fails. The
 # scenario is multi-cycle (thin uplinks) with three jobs, fractional tail
 # blocks, and shared destinations, so the router's §5.1 merge, the
 # partial-first reorder, the rate-proportional block deal, and the

@@ -113,53 +113,3 @@ class TestClipping:
         usage = resource_utilization(flows, out)
         for res, cap in caps.items():
             assert usage.get(res, 0.0) <= cap + 1e-9
-
-
-class TestIncrementalLoadEquivalence:
-    """The incremental ``load`` bookkeeping must match the in-tree
-    rebuild-every-iteration reference bit-for-bit (exact dict equality,
-    no tolerance): the same floats in the same order feed both paths."""
-
-    def test_matches_reference_on_random_inputs(self):
-        from repro.net.flow import _max_min_fair_rates_reference
-        from repro.utils.rng import make_rng
-
-        rng = make_rng(123)
-        for _trial in range(25):
-            num_res = int(rng.integers(2, 12))
-            capacities = {
-                f"r{i}": float(rng.uniform(1, 20)) for i in range(num_res)
-            }
-            flows = []
-            for i in range(int(rng.integers(1, 40))):
-                k = int(rng.integers(1, min(4, num_res) + 1))
-                resources = tuple(
-                    f"r{int(x)}"
-                    for x in rng.choice(num_res, size=k, replace=False)
-                )
-                rate_cap = (
-                    float(rng.uniform(0, 10)) if rng.random() < 0.5 else None
-                )
-                demand = (
-                    float(rng.uniform(0, 5)) if rng.random() < 0.3 else None
-                )
-                flows.append(
-                    Flow(
-                        flow_id=i,
-                        resources=resources,
-                        rate_cap=rate_cap,
-                        demand=demand,
-                    )
-                )
-            assert max_min_fair_rates(
-                flows, capacities
-            ) == _max_min_fair_rates_reference(flows, capacities)
-
-    def test_matches_reference_on_classic_example(self):
-        from repro.net.flow import _max_min_fair_rates_reference
-
-        flows = [flow("f1", "l1"), flow("f2", "l2"), flow("f3", "l1", "l2")]
-        caps = {"l1": 10, "l2": 4}
-        assert max_min_fair_rates(flows, caps) == _max_min_fair_rates_reference(
-            flows, caps
-        )

@@ -3,11 +3,12 @@
 The array waterfill (`max_min_fair_rates_vectorized`), the array clip
 (`clip_rates_to_capacity_vectorized`), and the batched delivery path
 (`PossessionIndex.record_deliveries` + `Simulation._apply_deliveries`)
-all claim *bit-identity* with the scalar baselines they replace. These
-tests make that claim falsifiable: randomized scenario sweeps compare
-the two implementations dict-for-dict, error paths must raise the same
-exceptions, and whole simulations are fingerprinted under both
-``SimConfig(vectorized_flow=...)`` settings.
+all claim *bit-identity* with the scalar kernels and the per-pair
+``record_delivery`` loop. These tests make that claim falsifiable:
+randomized scenario sweeps compare the two implementations
+dict-for-dict, error paths must raise the same exceptions, and whole
+simulations are fingerprinted with the simulator's rate and delivery
+entry points patched to the scalar forms.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.analysis.runner import make_strategy
 from repro.lp.incidence import FlowIncidence, segment_mins
+from repro.net import simulator
 from repro.net.flow import (
     Flow,
     FlowKernelStats,
@@ -27,7 +29,7 @@ from repro.net.flow import (
     max_min_fair_rates_scalar,
     max_min_fair_rates_vectorized,
 )
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.simulator import SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
@@ -198,9 +200,8 @@ class TestIncidenceHelpers:
 def _fresh_indexes():
     server_dc = {f"dc{d}-s{s}": f"dc{d}" for d in range(3) for s in range(4)}
     return (
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=False),
+        PossessionIndex(server_dc),
+        PossessionIndex(server_dc),
         sorted(server_dc),
     )
 
@@ -220,25 +221,22 @@ class TestBatchedDelivery:
     @pytest.mark.parametrize("count", [1, 5, 40, 200])
     def test_batch_matches_sequential(self, seed, count):
         rng = random.Random(seed * 7 + count)
-        batched, sequential, dict_backed, servers = _fresh_indexes()
+        batched, sequential, servers = _fresh_indexes()
         events = _random_events(rng, servers, count)
 
         out_batch = batched.record_deliveries(events)
         out_seq = [sequential.record_delivery(*e) for e in events]
-        out_dict = dict_backed.record_deliveries(events)
 
-        assert out_batch == out_seq == out_dict
+        assert out_batch == out_seq
         assert batched.deliveries == sequential.deliveries
-        assert batched.epoch == sequential.epoch == dict_backed.epoch
+        assert batched.epoch == sequential.epoch
         for server in servers:
             assert batched.blocks_on(server) == sequential.blocks_on(server)
         for block in {e[0] for e in events}:
             bid = block.block_id
             assert batched.holders(bid) == sequential.holders(bid)
-            assert (
-                batched.duplicate_count(bid)
-                == sequential.duplicate_count(bid)
-                == dict_backed.duplicate_count(bid)
+            assert batched.duplicate_count(bid) == sequential.duplicate_count(
+                bid
             )
             for dc in ("dc0", "dc1", "dc2"):
                 assert batched.dc_copy_count(dc, bid) == sequential.dc_copy_count(
@@ -246,7 +244,7 @@ class TestBatchedDelivery:
                 )
 
     def test_within_batch_duplicate_keeps_first_occurrence(self):
-        batched, sequential, _, servers = _fresh_indexes()
+        batched, sequential, servers = _fresh_indexes()
         block = Block(job_id="j", index=0, size=MB)
         events = [
             (block, servers[0], servers[1], 1.0, "dc0"),
@@ -259,7 +257,7 @@ class TestBatchedDelivery:
         assert sequential.record_delivery(*events[1]) is None
 
     def test_unknown_destination_rejected(self):
-        batched, _, _, servers = _fresh_indexes()
+        batched, _, servers = _fresh_indexes()
         block = Block(job_id="j", index=0, size=MB)
         with pytest.raises(KeyError, match="unknown server"):
             batched.record_deliveries([(block, servers[0], "ghost", 1.0, "dc0")])
@@ -267,19 +265,35 @@ class TestBatchedDelivery:
         assert batched.epoch == 0 and not batched.deliveries
 
     def test_empty_batch_is_noop(self):
-        batched, _, _, _ = _fresh_indexes()
+        batched, _, _ = _fresh_indexes()
         assert batched.record_deliveries([]) == []
         assert batched.epoch == 0
 
 
 # ---------------------------------------------------------------------------
-# Whole-simulation golden fingerprints: vectorized_flow on/off
+# Whole-simulation fingerprints: array data plane vs the scalar forms
 # ---------------------------------------------------------------------------
 
 SEED = 90
 
 
-def _run(strategy_name: str, vectorized_flow: bool) -> SimResult:
+def _use_scalar_data_plane(monkeypatch) -> None:
+    """Scalar rate kernels at every flow count and per-pair delivery
+    records: the data plane the array kernels must reproduce."""
+    monkeypatch.setattr(
+        simulator, "max_min_fair_rates", max_min_fair_rates_scalar
+    )
+    monkeypatch.setattr(
+        simulator, "clip_rates_to_capacity", clip_rates_to_capacity_scalar
+    )
+    monkeypatch.setattr(
+        PossessionIndex,
+        "record_deliveries",
+        lambda self, events: [self.record_delivery(*e) for e in events],
+    )
+
+
+def _run(strategy_name: str) -> SimResult:
     topo = Topology.full_mesh(
         num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
     )
@@ -295,7 +309,6 @@ def _run(strategy_name: str, vectorized_flow: bool) -> SimResult:
         topology=topo,
         jobs=[job],
         strategy=make_strategy(strategy_name, seed=SEED),
-        config=SimConfig(vectorized_flow=vectorized_flow),
         seed=SEED,
     )
     return sim.run()
@@ -314,19 +327,21 @@ def _fingerprint(result: SimResult):
 
 class TestDataPlaneGolden:
     @pytest.mark.parametrize("strategy", ["bds", "gingko", "bullet"])
-    def test_vectorized_flow_matches_scalar(self, strategy):
-        vectorized = _run(strategy, vectorized_flow=True)
-        scalar = _run(strategy, vectorized_flow=False)
+    def test_array_data_plane_matches_scalar(self, strategy, monkeypatch):
+        vectorized = _run(strategy)
+        _use_scalar_data_plane(monkeypatch)
+        scalar = _run(strategy)
         assert vectorized.all_complete
         assert _fingerprint(vectorized) == _fingerprint(scalar)
 
-    def test_delivery_records_identical(self):
-        vectorized = _run("gingko", vectorized_flow=True)
-        scalar = _run("gingko", vectorized_flow=False)
+    def test_delivery_records_identical(self, monkeypatch):
+        vectorized = _run("gingko")
+        _use_scalar_data_plane(monkeypatch)
+        scalar = _run("gingko")
         assert vectorized.store.deliveries == scalar.store.deliveries
         assert len(vectorized.store.deliveries) > 0
 
     def test_stalemate_counter_exported(self):
-        result = _run("bds", vectorized_flow=True)
+        result = _run("bds")
         # Healthy scenario: the counter exists and stays at zero.
         assert result.total_rate_stalemates() == 0

@@ -1,6 +1,6 @@
 """The vectorized Fleischer FPTAS: incidence compilation, the (1−ε)³
-guarantee on randomized instances, parity with the legacy scalar solver,
-cross-cycle warm starts, and the greedy backend's incidence rewrite."""
+guarantee against the exact LP on randomized instances, cross-cycle warm
+starts, and the greedy backend's incidence rewrite."""
 
 import random
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.routing import BDSRouter
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.fptas_legacy import legacy_max_multicommodity_flow
 from repro.lp.incidence import PathIncidence, build_incidence
 from repro.lp.mcf import Commodity, PathMCF
 from repro.net.cycle_cache import RoutingWarmStore
@@ -155,33 +154,22 @@ class TestFPTASGuarantee:
             assert result.phases > 0
         assert result.warm_start == "cold"
 
-
-class TestLegacyParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_legacy_within_tolerance(self, seed):
+    def test_six_commodity_instances_within_lp_floor(self, seed):
         commodities, caps = random_instance(seed, n_commodities=6)
-        new = max_multicommodity_flow(commodities, caps, epsilon=0.1)
-        old = legacy_max_multicommodity_flow(commodities, caps, epsilon=0.1)
-        # Both carry the same (1−ε)³ guarantee; they can differ only
-        # within the approximation slack around the optimum.
+        result = max_multicommodity_flow(commodities, caps, epsilon=0.1)
         lp = PathMCF(commodities, caps).solve_lp()
-        floor = (1 - 0.1) ** 3 * lp.objective - 1e-9
-        assert new.objective >= floor
-        assert old.objective >= floor
-        assert new.objective <= lp.objective * (1 + 1e-6) + 1e-6
-        assert old.objective <= lp.objective * (1 + 1e-6) + 1e-6
+        assert result.objective >= (1 - 0.1) ** 3 * lp.objective - 1e-9
+        assert result.objective <= lp.objective * (1 + 1e-6) + 1e-6
 
-    def test_golden_instance_exact_paths(self):
-        # A fixed instance where both solvers must saturate the bottleneck.
+    def test_golden_instance_saturates_bottleneck(self):
         caps = {"shared": 6.0, "pa": 10.0, "pb": 10.0}
         commodities = [
             commodity("a", ["shared", "pa"]),
             commodity("b", ["shared", "pb"]),
         ]
-        new = max_multicommodity_flow(commodities, caps, epsilon=0.05)
-        old = legacy_max_multicommodity_flow(commodities, caps, epsilon=0.05)
-        assert new.objective == pytest.approx(6.0, rel=0.05)
-        assert old.objective == pytest.approx(6.0, rel=0.05)
+        result = max_multicommodity_flow(commodities, caps, epsilon=0.05)
+        assert result.objective == pytest.approx(6.0, rel=0.05)
 
 
 class TestWarmStart:

@@ -25,7 +25,7 @@ from repro.core.decisions import ScheduledBlock
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.controller import BDSController
-from repro.net.simulator import ClusterView, SimConfig, Simulation
+from repro.net.simulator import ClusterView, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
@@ -151,16 +151,14 @@ def scenarios(draw):
         failed_links,
         draw(st.integers(1, 4)),
         draw(st.booleans()),
-        draw(st.booleans()),
     )
 
 
-def _view(topo, jobs, pre_seeded, failed_agents, failed_links, vectorized):
+def _view(topo, jobs, pre_seeded, failed_agents, failed_links):
     sim = Simulation(
         topology=topo,
         jobs=jobs,
         strategy=BDSController(),
-        config=SimConfig(vectorized_store=vectorized),
         pre_seeded=pre_seeded,
         seed=0,
     )
@@ -182,14 +180,12 @@ def test_kernel_matches_per_row_oracle(case):
         failed_links,
         max_sources,
         merge,
-        vectorized,
     ) = case
-    view = _view(topo, jobs, pre_seeded, failed_agents, failed_links, vectorized)
+    view = _view(topo, jobs, pre_seeded, failed_agents, failed_links)
     scheduler = RarestFirstScheduler()
     selections = scheduler.select(view)
     batch = scheduler.last_batch
-    if vectorized:
-        assert batch is not None and len(batch.gids) == len(selections)
+    assert batch is not None and len(batch.gids) == len(selections)
     router = BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge)
     expected = oracle_groups(view, selections, max_sources, merge)
     got = kernel_groups(router, view, selections, batch)
@@ -222,7 +218,7 @@ def test_oracle_exercises_every_pick_branch():
         "dc3-s2": list(job.blocks[2:]),
         "dc2-s0": list(job.blocks[1:4]),
     }
-    view = _view(topo, [job], pre_seeded, {"dc3-s2"}, frozenset(), True)
+    view = _view(topo, [job], pre_seeded, {"dc3-s2"}, frozenset())
     scheduler = RarestFirstScheduler()
     selections = scheduler.select(view)
     for max_sources in (1, 2, 3, 4):

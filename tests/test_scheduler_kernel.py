@@ -1,11 +1,13 @@
 """Equivalence suite for the array-native control plane.
 
-The vectorized rarest-first kernel, the batched router build, and the
-bitset possession matrix must each be *bit-identical* to the scalar
-implementations they replace: same selections in the same order, same
-directives, same answer to every store query, same epoch trajectory.
-These tests pin that contract over randomized topologies, jobs with
-priorities and relays, failures, and selection caps.
+The vectorized rarest-first kernel and the batched router build must
+each be *bit-identical* to the scalar paths that still run on speculation
+overlays: same selections in the same order, same directives. The bitset
+possession matrix must give the same answer to every store query, and
+follow the same epoch trajectory, as :class:`DictPossessionIndex` — a
+compact dict-of-sets reference model kept here as the oracle. These
+tests pin that contract over randomized topologies, jobs with priorities
+and relays, failures, and selection caps.
 """
 
 from __future__ import annotations
@@ -18,12 +20,100 @@ from repro.analysis.runner import make_strategy
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.net.cycle_cache import CycleCache
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionIndex
+from repro.overlay.store import DeliveryRecord, PossessionIndex
 from repro.utils.units import MB, MBps
+
+
+class DictPossessionIndex:
+    """Reference possession index: plain dicts of sets, no interning.
+
+    Mirrors :class:`PossessionIndex`'s observable contract — query
+    answers, ``epoch`` (+1 per new copy, +1 per effective
+    ``drop_server``), delivery provenance — in the most direct form, so
+    the matrix-backed index has something independent to agree with.
+    """
+
+    def __init__(self, server_dc):
+        self._server_dc = dict(server_dc)
+        self._holders = {}
+        self._server_blocks = {s: set() for s in self._server_dc}
+        self.deliveries = []
+        self.epoch = 0
+
+    def _add(self, block_id, server_id):
+        if server_id not in self._server_dc:
+            raise KeyError(f"unknown server {server_id!r}")
+        holders = self._holders.setdefault(block_id, set())
+        if server_id in holders:
+            return False
+        holders.add(server_id)
+        self._server_blocks[server_id].add(block_id)
+        self.epoch += 1
+        return True
+
+    def seed(self, server_id, blocks):
+        for block in blocks:
+            self._add(block.block_id, server_id)
+
+    def record_delivery(self, block, src_server, dst_server, time, origin_dc):
+        if not self._add(block.block_id, dst_server):
+            return None
+        record = DeliveryRecord(
+            block_id=block.block_id,
+            src_server=src_server,
+            dst_server=dst_server,
+            time=time,
+            from_origin_dc=self._server_dc[src_server] == origin_dc,
+        )
+        self.deliveries.append(record)
+        return record
+
+    def drop_server(self, server_id):
+        held = self._server_blocks.get(server_id)
+        if not held:
+            return
+        for block_id in held:
+            self._holders[block_id].discard(server_id)
+        self._server_blocks[server_id] = set()
+        self.epoch += 1
+
+    def dc_of(self, server_id):
+        return self._server_dc[server_id]
+
+    def has(self, server_id, block_id):
+        return block_id in self._server_blocks.get(server_id, ())
+
+    def holders(self, block_id):
+        return frozenset(self._holders.get(block_id, ()))
+
+    def duplicate_count(self, block_id):
+        return len(self._holders.get(block_id, ()))
+
+    def blocks_on(self, server_id):
+        return frozenset(self._server_blocks.get(server_id, ()))
+
+    def dc_copy_count(self, dc, block_id):
+        return sum(
+            1
+            for s in self._holders.get(block_id, ())
+            if self._server_dc[s] == dc
+        )
+
+    def dc_has_block(self, dc, block_id):
+        return self.dc_copy_count(dc, block_id) > 0
+
+    def origin_fraction_by_server(self):
+        totals, from_origin = {}, {}
+        for record in self.deliveries:
+            dst = record.dst_server
+            totals[dst] = totals.get(dst, 0) + 1
+            from_origin[dst] = from_origin.get(dst, 0) + record.from_origin_dc
+        return {s: from_origin[s] / n for s, n in totals.items()}
 
 
 def _random_scenario(seed: int):
@@ -75,18 +165,13 @@ def _random_scenario(seed: int):
 
 
 def _midrun_view(seed: int, cycles: int = 2):
-    """A cluster view a few cycles into a vectorized-store simulation."""
+    """A cluster view a few cycles into a simulation."""
     topo, jobs, failures = _random_scenario(seed)
     sim = Simulation(
         topology=topo,
         jobs=jobs,
         strategy=make_strategy("bds", seed=seed),
-        config=SimConfig(
-            max_cycles=cycles,
-            stop_when_complete=False,
-            incremental_engine=True,
-            vectorized_store=True,
-        ),
+        config=SimConfig(max_cycles=cycles, stop_when_complete=False),
         failures=failures,
         seed=seed,
     )
@@ -95,7 +180,8 @@ def _midrun_view(seed: int, cycles: int = 2):
 
 
 class TestVectorizedSelectionEquivalence:
-    """vectorized ≡ cached-scalar ≡ legacy: content AND order."""
+    """vectorized ≡ cached scalar on the simulator's warm cache ≡ cached
+    scalar on a fresh cache: content AND order."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [0, 7])
@@ -113,11 +199,11 @@ class TestVectorizedSelectionEquivalence:
         cached = scheduler.select(view)
         assert scheduler.last_batch is None
 
-        view._cache = None  # hide the cycle cache -> legacy path
-        legacy = scheduler.select(view)
+        view._cache = CycleCache()  # cold memos: every query hits the store
+        cold = scheduler.select(view)
 
         assert vectorized == cached  # list equality: content AND order
-        assert vectorized == legacy
+        assert vectorized == cold
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
@@ -170,10 +256,14 @@ class TestBatchedRouterEquivalence:
 
 def _twin_indices(topo: Topology):
     server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-    return (
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=False),
-    )
+    return PossessionIndex(server_dc), DictPossessionIndex(server_dc)
+
+
+def _index(server_dc, matrix: bool):
+    """The index under test, or (``matrix=False``) the reference model."""
+    if matrix:
+        return PossessionIndex(server_dc)
+    return DictPossessionIndex(server_dc)
 
 
 def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
@@ -208,7 +298,8 @@ def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
 
 
 class TestPossessionIndexEquivalence:
-    """Matrix backend ≡ dict backend for every query, every step."""
+    """Matrix-backed index ≡ the dict reference for every query, every
+    step."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mutation_sequences(self, seed):
@@ -252,11 +343,11 @@ class TestPossessionIndexEquivalence:
                 dict_idx.drop_server(victim)
             _assert_indices_agree(matrix_idx, dict_idx, jobs, servers)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_unknown_names_behave(self, vectorized):
+    @pytest.mark.parametrize("matrix", [True, False])
+    def test_unknown_names_behave(self, matrix):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = _index(server_dc, matrix)
         assert idx.holders(("nope", 0)) == frozenset()
         assert idx.blocks_on("no-such-server") == frozenset()
         assert idx.duplicate_count(("nope", 0)) == 0
@@ -269,11 +360,11 @@ class TestPossessionIndexEquivalence:
 class TestEpochSemantics:
     """Epoch: +1 per new copy; one bump per effective drop_server call."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_seed_and_delivery_bump_per_copy(self, vectorized):
+    @pytest.mark.parametrize("matrix", [True, False])
+    def test_seed_and_delivery_bump_per_copy(self, matrix):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = _index(server_dc, matrix)
         job = jobs[0]
         src = sorted(
             s for s in server_dc if server_dc[s] == job.src_dc
@@ -291,11 +382,11 @@ class TestEpochSemantics:
         idx.record_delivery(block, src, dst, 1.0, job.src_dc)  # duplicate
         assert idx.epoch == len(job.blocks) + 1
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_drop_server_single_bump(self, vectorized):
+    @pytest.mark.parametrize("matrix", [True, False])
+    def test_drop_server_single_bump(self, matrix):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = _index(server_dc, matrix)
         job = jobs[0]
         src = sorted(
             s for s in server_dc if server_dc[s] == job.src_dc

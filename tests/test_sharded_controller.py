@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
+from repro.core.shardexec import LocalShardRunner
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -207,23 +208,28 @@ class TestReconciliation:
             assert decision.reconcile_runtime >= 0.0
 
 
+def _shared_store_only(monkeypatch):
+    """Route every sharded decide through the shared-store sub-views.
+
+    Production takes that path only for speculation overlays; declining
+    the in-process mirrors forces it on exact views too, so the two
+    decide paths can be compared on the same cycles.
+    """
+    monkeypatch.setattr(LocalShardRunner, "decide", lambda *args: None)
+
+
 class TestShardLocalState:
     """Partition-scoped mirrors (the default sharded decide path)."""
 
     @pytest.mark.parametrize("shards,stride", [(2, 1), (3, 2), (4, 1)])
-    def test_mirror_matches_shared_store(self, shards, stride):
-        """shard_local_state=False (shared-store sub-views) is the PR 7
-        decide path; the mirror path must reproduce it bit-for-bit."""
-        legacy = _run(
-            shards,
-            stride=stride,
-            config=BDSConfig(
-                shards=shards, shard_stride=stride, shard_local_state=False
-            ),
-        )
+    def test_mirror_matches_shared_store(self, shards, stride, monkeypatch):
+        """Shared-store sub-views (the speculation-overlay decide path)
+        and the mirrors must decide bit-for-bit alike."""
         mirror = _run(shards, stride=stride)
+        _shared_store_only(monkeypatch)
+        shared = _run(shards, stride=stride)
         assert mirror.all_complete
-        assert _fingerprint(mirror) == _fingerprint(legacy)
+        assert _fingerprint(mirror) == _fingerprint(shared)
 
     def test_state_telemetry_recorded(self):
         result = _run(3)
@@ -234,10 +240,9 @@ class TestShardLocalState:
         assert any(s.shard_payload_bytes > 0 for s in fresh)
         assert all(s.shard_stride == 1 for s in fresh)
 
-    def test_no_state_telemetry_on_shared_store_path(self):
-        result = _run(
-            2, config=BDSConfig(shards=2, shard_local_state=False)
-        )
+    def test_no_state_telemetry_on_shared_store_path(self, monkeypatch):
+        _shared_store_only(monkeypatch)
+        result = _run(2)
         assert all(s.shard_state_bytes == 0 for s in result.cycle_stats)
         assert all(s.shard_candidate_bytes == 0 for s in result.cycle_stats)
 

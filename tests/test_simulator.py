@@ -405,13 +405,13 @@ class TestPreSeeding:
 # ``Simulation._valid_directives`` packs whatever the strategy returned
 # into a ``DirectiveBatch`` in the store's id space and validates the
 # arrays. Each rule is checked on a router-style batch (interned ids, no
-# materialized directives), on a baseline-style ``TransferDirective``
-# list, and on the dict-backed store, which has no matrix to intern into.
+# materialized directives) and on a baseline-style ``TransferDirective``
+# list.
 
-INPUT_KINDS = ("router-batch", "list", "dict-store")
+INPUT_KINDS = ("router-batch", "list")
 
 
-def _validation_sim(kind: str) -> Simulation:
+def _validation_sim() -> Simulation:
     topo = Topology.full_mesh(
         num_dcs=2, servers_per_dc=2, wan_capacity=1 * GB, uplink=10 * MBps
     )
@@ -424,7 +424,6 @@ def _validation_sim(kind: str) -> Simulation:
         topology=topo,
         jobs=[job],
         strategy=ScriptedStrategy(lambda view: []),
-        config=SimConfig(vectorized_store=kind != "dict-store"),
     )
     # Server dc0-s0 holds every block; dc1-s1 already holds block 2.
     sim.store.seed("dc0-s0", job.blocks)
@@ -471,14 +470,14 @@ def _d(src, dst, *indices, rate=None, job="j"):
 class TestValidationRules:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_unknown_source_raises(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         raw = _as_input(kind, sim, [_d("ghost", "dc1-s0", 0)])
         with pytest.raises(KeyError, match="unknown source server 'ghost'"):
             sim._valid_directives(raw, set())
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_unknown_destination_raises(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         raw = _as_input(kind, sim, [_d("dc0-s0", "ghost", 0)])
         with pytest.raises(
             KeyError, match="unknown destination server 'ghost'"
@@ -487,7 +486,7 @@ class TestValidationRules:
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_failed_agents_dropped_before_unknown_check(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         raw = _as_input(
             kind,
             sim,
@@ -507,7 +506,7 @@ class TestValidationRules:
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_useless_blocks_filtered_in_order(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         # dc1-s0 lacks every block; dc1-s1 already holds block 2.
         raw = _as_input(
             kind,
@@ -532,7 +531,7 @@ class TestValidationRules:
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_never_interned_blocks_dropped(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         raw = _as_input(
             kind,
             sim,
@@ -551,7 +550,7 @@ class TestValidationRules:
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_directive_left_without_blocks_dropped(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         raw = _as_input(
             kind,
             sim,
@@ -566,7 +565,7 @@ class TestValidationRules:
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_empty_input(self, kind):
-        sim = _validation_sim(kind)
+        sim = _validation_sim()
         assert list(sim._valid_directives(_as_input(kind, sim, []), set())) == []
 
 
@@ -606,7 +605,7 @@ class TestDirectiveBatch:
         assert clone == batch
 
     def test_translates_between_spaces(self):
-        sim = _validation_sim("router-batch")
+        sim = _validation_sim()
         local = DirectiveBatch.of([_d("dc0-s0", "dc1-s0", 1, 0)])
         moved = DirectiveBatch.of(local, sim.store.matrix)
         assert moved.space is sim.store.matrix
