@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+import dataclasses
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
     AkamaiStrategy,
@@ -40,16 +41,16 @@ def make_strategy(
     """Build a fresh strategy by name.
 
     ``bds`` uses the fast greedy routing backend; ``bds-fptas`` / ``bds-lp``
-    select the Garg–Könemann and exact-LP backends; ``bds-standard-lp``
-    swaps in the non-decoupled joint LP router (the Fig. 13 baseline).
+    select the Garg–Könemann and exact-LP backends (set onto a copy of
+    ``config`` when one is given); ``bds-standard-lp`` swaps in the
+    non-decoupled joint LP router (the Fig. 13 baseline).
     """
     if name == "bds":
         return BDSController(config=config or BDSConfig(), seed=seed)
-    if name == "bds-fptas":
-        cfg = config or BDSConfig(routing_backend="fptas")
-        return BDSController(config=cfg, seed=seed)
-    if name == "bds-lp":
-        cfg = config or BDSConfig(routing_backend="lp")
+    if name in ("bds-fptas", "bds-lp"):
+        cfg = dataclasses.replace(
+            config or BDSConfig(), routing_backend=name[len("bds-"):]
+        )
         return BDSController(config=cfg, seed=seed)
     if name == "bds-standard-lp":
         controller = BDSController(config=config or BDSConfig(), seed=seed)
@@ -86,11 +87,6 @@ def run_simulation(
     links_of_interest: tuple = (),
     event_engine: bool = True,
     record_cycle_stats: bool = True,
-    shards: int = 1,
-    shard_seed: int = 0,
-    shard_stride: Union[int, str] = 1,
-    shard_mode: str = "inprocess",
-    shard_partition: str = "hash",
 ) -> SimResult:
     """Run one strategy over the given jobs and return the result.
 
@@ -99,38 +95,9 @@ def run_simulation(
     and the parallel engine can exercise both engines without
     hand-building a :class:`Simulation`. ``record_cycle_stats=False``
     drops the per-cycle records for day-scale horizons where the stats
-    list would dominate memory.
-
-    ``shards``/``shard_seed``/``shard_stride``/``shard_mode``/
-    ``shard_partition`` configure the sharded control plane (BDS
-    strategies only; see :class:`BDSConfig`). ``shard_stride`` also
-    accepts the string ``"auto"`` for the adaptive stride. Non-default
-    values are overlaid onto ``config`` — explicit shard fields in a
-    caller-supplied config win only when the keyword is left at its
-    default.
+    list would dominate memory. ``config`` configures the BDS strategies,
+    the sharded control plane included (see :class:`BDSConfig`).
     """
-    if (shards, shard_seed, shard_stride, shard_mode, shard_partition) != (
-        1,
-        0,
-        1,
-        "inprocess",
-        "hash",
-    ):
-        import dataclasses
-
-        base = config or BDSConfig()
-        updates: Dict[str, Any] = {}
-        if shards != 1:
-            updates["shards"] = shards
-        if shard_seed != 0:
-            updates["shard_seed"] = shard_seed
-        if shard_stride != 1:
-            updates["shard_stride"] = shard_stride
-        if shard_mode != "inprocess":
-            updates["shard_mode"] = shard_mode
-        if shard_partition != "hash":
-            updates["shard_partition"] = shard_partition
-        config = dataclasses.replace(base, **updates)
     strategy = make_strategy(strategy_name, seed=seed, config=config)
     sim = Simulation(
         topology=topology,

@@ -32,6 +32,7 @@ from repro.analysis import experiments as exps
 from repro.analysis.metrics import summarize
 from repro.analysis.reporting import format_cdf_rows, format_series, format_table
 from repro.analysis.runner import STRATEGY_NAMES, run_simulation
+from repro.core.config import BDSConfig
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import format_duration, parse_rate, parse_size
@@ -204,9 +205,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
         seed=args.seed,
         event_engine=not args.tick_engine,
-        shards=args.shards,
-        shard_stride=args.shard_stride,
-        shard_partition=args.shard_partition,
+        config=BDSConfig(
+            shards=args.shards,
+            shard_stride=args.shard_stride,
+            shard_partition=args.shard_partition,
+        ),
     )
     if args.json:
         from repro.analysis.export import save_result

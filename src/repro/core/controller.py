@@ -22,10 +22,10 @@ Each shard owns **only its partition's state**: a
 :class:`~repro.core.shardexec.ShardMirror` with a shard-local possession
 index, candidate table, and :class:`~repro.net.cycle_cache.CycleCache`,
 fed by delivery-log watermark replay (see :mod:`repro.core.shardexec`) —
-per-shard memory and cold-build work are O(pairs/shards). Speculation
-overlays are the exception: their store shadows the real one, so shards
-decide on sub-views of the shared (overlaid) store instead, with
-identical results on the real store. The shared capacities are resolved
+per-shard memory and cold-build work are O(pairs/shards). With
+speculation on, each due shard's payload also carries the speculated
+deliveries of its own blocks, and the mirror decides on an overlay of
+its own possession index. The shared capacities are resolved
 afterwards by one outer max-min waterfill
 (:func:`repro.net.flow.max_min_fair_rates` — the data plane's own
 allocator) over every shard's directives against the budget-adjusted
@@ -53,6 +53,7 @@ scheduling).
 
 from __future__ import annotations
 
+import logging
 import math
 import time as _time
 from dataclasses import replace
@@ -65,9 +66,17 @@ from repro.core.decisions import ControlDecision
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.sharding import AffinityAssigner, stable_shard
-from repro.core.shardexec import LocalShardRunner, ShardExecutor, ShardResult
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.cycle_cache import CycleCache
+from repro.core.shardexec import (
+    LocalShardRunner,
+    Pairs,
+    ShardExecutor,
+    ShardResult,
+)
+from repro.core.speculation import (
+    DeliverySpeculator,
+    SpeculatedDelivery,
+    SpeculatedView,
+)
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
@@ -80,35 +89,23 @@ from repro.utils.rng import SeedLike
 _STRIDE_EWMA_ALPHA = 0.3
 _STRIDE_NARROW_FRACTION = 0.7
 
+logger = logging.getLogger(__name__)
+
 
 class _ShardPipeline:
-    """One shard's private control pipeline plus its replay state.
+    """One shard's replay state for the stride cadence.
 
-    Each shard owns a scheduler and a router (with its own FPTAS warm
-    store) for the shared-store sub-views of speculation overlays —
-    nothing here is shared across shards.
-
-    ``directives`` / ``context`` implement the stride cadence
-    (``BDSConfig.shard_stride``): between a shard's decide turns its
-    last fresh directives are replayed verbatim (the simulator
-    re-validates them and refreshes their demands every cycle, exactly
-    as the event engine's decision reuse does), and any change of the
-    failure/topology context forces an immediate fresh decide.
+    ``directives`` / ``context`` implement ``BDSConfig.shard_stride``:
+    between a shard's decide turns its last fresh directives are
+    replayed verbatim (the simulator re-validates them and refreshes
+    their demands every cycle, exactly as the event engine's decision
+    reuse does), and any change of the failure/topology context forces
+    an immediate fresh decide.
     """
 
-    __slots__ = ("scheduler", "router", "directives", "context")
+    __slots__ = ("directives", "context")
 
-    def __init__(self, config: BDSConfig) -> None:
-        self.scheduler = RarestFirstScheduler(
-            max_blocks_per_cycle=config.max_blocks_per_cycle,
-            use_relays=config.use_relays,
-        )
-        self.router = BDSRouter(
-            backend=config.routing_backend,
-            epsilon=config.epsilon,
-            max_sources_per_group=config.max_sources_per_group,
-            merge_blocks=config.merge_blocks,
-        )
+    def __init__(self) -> None:
         self.directives: Optional[List[TransferDirective]] = None
         self.context: Optional[tuple] = None
 
@@ -162,7 +159,7 @@ class BDSController(OverlayStrategy):
         # (in-process mirrors / process fan-out), and the adaptive
         # stride state.
         self._pipelines: List[_ShardPipeline] = (
-            [_ShardPipeline(self.config) for _ in range(self.config.shards)]
+            [_ShardPipeline() for _ in range(self.config.shards)]
             if self.config.shards > 1
             else []
         )
@@ -175,6 +172,9 @@ class BDSController(OverlayStrategy):
         )
         self._shard_executor: Optional[ShardExecutor] = None
         self._shard_runner: Optional[LocalShardRunner] = None
+        # Set when the process fan-out failed: this controller decides
+        # in-process for the rest of its run (the config is left as is).
+        self._process_failed = False
         self._stride_auto = self.config.shard_stride == SHARD_STRIDE_AUTO
         # Auto mode starts maximally staggered (one shard per cycle) and
         # narrows as measurements show slack; a static stride is taken
@@ -218,8 +218,7 @@ class BDSController(OverlayStrategy):
         The :class:`~repro.net.simulator.Simulation` probes this to skip
         building the global candidate table — the mirrors build their
         own shard-scoped tables, so the global O(pairs) build would be
-        dead weight (only speculation-overlay cycles would miss it, on
-        their already-scalar fallback path).
+        dead weight.
         """
         return self.config.shards > 1
 
@@ -283,6 +282,7 @@ class BDSController(OverlayStrategy):
                 ]
                 view = view.with_extra_failed_agents(severed_servers)
 
+        speculated: List[SpeculatedDelivery] = []
         if self._speculator is not None and self._previous_directives:
             block_sizes = {
                 block.block_id: block.size
@@ -292,11 +292,11 @@ class BDSController(OverlayStrategy):
             speculated = self._speculator.speculate(
                 view, self._previous_directives, block_sizes
             )
-            if speculated:
-                view = SpeculatedView(view, speculated)
 
         if self.config.shards > 1:
-            return self._decide_sharded(view, fallback_directives)
+            return self._decide_sharded(view, fallback_directives, speculated)
+        if speculated:
+            view = SpeculatedView(view, speculated)
 
         selections = self.scheduler.select(view)
         directives, diagnostics = self.router.route(
@@ -339,19 +339,25 @@ class BDSController(OverlayStrategy):
         self,
         view: ClusterView,
         fallback_directives: List[TransferDirective],
+        speculated: Sequence[SpeculatedDelivery],
     ) -> List[TransferDirective]:
-        """Partitioned decide: per-shard pipelines + WAN reconciliation."""
+        """Partitioned decide: per-shard mirrors + WAN reconciliation.
+
+        ``speculated`` is split by the shard owning each block; a due
+        shard's mirror decides on an overlay holding its share.
+        """
         cfg = self.config
         k = cfg.shards
         stride = self._stride
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
         for job in view.jobs:
             buckets[self._assign_shard(job)].append(job)
+        speculated_by_shard: List[Pairs] = [[] for _ in range(k)]
+        for delivery in speculated:
+            speculated_by_shard[self._shard_of_id(delivery.block_id[0])].append(
+                (delivery.block_id, delivery.dst_server)
+            )
 
-        # Exactness witness: a speculation overlay wraps the store, so
-        # the shard mirrors (which track the real store) must not decide
-        # for it.
-        exact = view.store is getattr(view, "_map_store", None)
         context = (view._failed_frozen, view.failed_links, view.topology.epoch)
 
         due: List[int] = []
@@ -370,13 +376,13 @@ class BDSController(OverlayStrategy):
             # work even on cycle 0). Two events break the cadence: a
             # failure/topology context change invalidates cached
             # directives (refresh immediately rather than replay stale
-            # ones), and a speculation overlay (``not exact``) makes
-            # every cycle's view bespoke.
+            # ones), and speculated deliveries make every cycle's view
+            # bespoke.
             if (
                 stride <= 1
                 or view.cycle % stride == s % stride
                 or (pipe.directives is not None and pipe.context != context)
-                or not exact
+                or speculated
             ):
                 due.append(s)
             else:
@@ -397,47 +403,19 @@ class BDSController(OverlayStrategy):
         payload_bytes_total = 0
 
         results: Optional[List[ShardResult]] = None
-        if cfg.shard_mode == "process" and due and exact:
-            results = self._process_decide(view, buckets, due)
-        if results is None and due and exact:
+        if due and cfg.shard_mode == "process" and not self._process_failed:
+            results = self._process_decide(view, buckets, due, speculated_by_shard)
+        if due and results is None:
             # In-process partition-scoped mirrors: each shard decides
             # against its own possession index, candidate table, and
             # cache, fed by watermark replay.
             if self._shard_runner is None:
                 self._shard_runner = LocalShardRunner(cfg, self._shard_of_id)
-            results = self._shard_runner.decide(view, buckets, due)
-        if results is None:
-            # Shared-store sub-views for speculation overlays, whose
-            # store shadows the real one (mirrors must not ingest phantom
-            # copies). Each gets a fresh cache: memos of the overlay do
-            # not carry over to the next cycle's.
-            results = []
-            for s in due:
-                pipe = self._pipelines[s]
-                sub = view.with_jobs(buckets[s], cache=CycleCache())
-                started = _time.perf_counter()
-                selections = pipe.scheduler.select(sub)
-                dirs, diag = pipe.router.route(
-                    sub, selections, batch=pipe.scheduler.last_batch
-                )
-                wall = _time.perf_counter() - started
-                results.append(
-                    ShardResult(
-                        directives=dirs,
-                        scheduled_blocks=len(selections),
-                        num_commodities=diag.num_commodities,
-                        objective=diag.objective,
-                        schedule_runtime=pipe.scheduler.last_runtime,
-                        routing_runtime=diag.runtime,
-                        iterations=diag.iterations,
-                        phases=diag.phases,
-                        warm_start=diag.warm_start,
-                        reuse_horizon=diag.reuse_horizon,
-                        wall=wall,
-                    )
-                )
+            results = self._shard_runner.decide(
+                view, buckets, due, speculated_by_shard
+            )
 
-        for s, outcome in zip(due, results):
+        for s, outcome in zip(due, results or ()):
             pipe = self._pipelines[s]
             pipe.directives = outcome.directives
             pipe.context = context
@@ -620,25 +598,31 @@ class BDSController(OverlayStrategy):
         view: ClusterView,
         buckets: List[List[MulticastJob]],
         due: List[int],
+        speculated: List[Pairs],
     ) -> Optional[List[ShardResult]]:
         """Fan the due shards' decides over persistent worker processes.
 
-        Returns the per-shard outcomes in ``due`` order, or ``None`` to
-        fall back to the in-process paths (worker pool unavailable or
-        broken — the in-process mirrors and the shared-store loop are
-        always correct; a fresh in-process feed re-snapshots each job's
-        holders from the live store, so mid-run takeover loses nothing).
+        Returns the per-shard outcomes in ``due`` order, or ``None`` when
+        the worker pool failed. The failure is logged as a warning and
+        this controller decides in-process for the rest of its run (a
+        fresh in-process feed re-snapshots each job's holders from the
+        live store, so mid-run takeover loses nothing); the caller's
+        config is left unchanged.
         """
         if self._shard_executor is None:
             self._shard_executor = ShardExecutor(self.config, self._shard_of_id)
         try:
-            return self._shard_executor.decide(view, buckets, due)
-        except Exception:
-            # A broken pool must never take the control plane down:
-            # abandon process mode for the rest of the run.
+            return self._shard_executor.decide(view, buckets, due, speculated)
+        except Exception as exc:
+            logger.warning(
+                "shard worker processes failed (%r); deciding in-process "
+                "for the rest of the run",
+                exc,
+                exc_info=exc,
+            )
             self._shard_executor.shutdown()
             self._shard_executor = None
-            self.config.shard_mode = "inprocess"
+            self._process_failed = True
             return None
 
     def shutdown(self) -> None:

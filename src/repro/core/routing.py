@@ -44,12 +44,7 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import RoutingWarmStore
-from repro.net.simulator import (
-    ClusterView,
-    DirectiveBatch,
-    IdSpace,
-    remaining_bytes,
-)
+from repro.net.simulator import ClusterView, DirectiveBatch, remaining_bytes
 from repro.net.topology import ResourceKey
 from repro.utils.validation import check_positive
 
@@ -127,19 +122,18 @@ class BDSRouter:
         """Allocate paths and rates for the scheduled blocks.
 
         ``batch`` is the scheduler's integer companion of ``selections``
-        (present when the vectorized kernel produced them): with it, the
-        rows are the batch's interned ids and holder sets one possession
-        gather; without it they are interned here. Groups, commodities,
-        and directives are identical either way. The directives come back
-        as a :class:`~repro.net.simulator.DirectiveBatch` in the id space
-        the router worked in.
+        (its ``last_batch``); without it the rows are interned here from
+        the selections, with identical groups, commodities and
+        directives. The directives come back as a
+        :class:`~repro.net.simulator.DirectiveBatch` in the id space of
+        the live possession matrix.
         """
         started = _time.perf_counter()
         if not selections:
             # Nothing scheduled: the (empty) output reads no draining
             # quantity, so it stays exact for as long as the validity key
             # holds — unbounded reuse horizon.
-            return DirectiveBatch.empty(), RoutingDiagnostics(
+            return DirectiveBatch.empty(view.store.matrix.base), RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=0,
                 num_commodities=0,
@@ -721,121 +715,81 @@ def _selection_rows(
 ) -> _Rows:
     """Lay the selection out as :class:`_Rows`.
 
-    With the scheduler's :class:`SelectionBatch` over an exact possession
-    matrix, the columns are the batch's interned ids and the holder pairs
-    come from one rows × servers gather against the matrix bits (failed
-    agents masked out). Otherwise — speculation overlays, the cached
-    scalar scheduler — a fresh :class:`IdSpace` interns the
-    rows in the same sorted-name order and holders come from
-    ``view.eligible_sources`` per distinct block.
+    The columns are the scheduler's :class:`SelectionBatch` ids (a batch
+    is interned here when the caller has none), and the holder pairs come
+    from one rows × servers gather against the store's possession matrix
+    — the live one or a speculation overlay — with failed agents masked
+    out. The rows are tagged with the live matrix (``base``), whose id
+    space an overlay shares, so the simulator validates the routed batch
+    without re-packing it.
     """
-    n = len(selections)
-    store = view.store
-    if (
-        batch is not None
-        and len(batch.gids) == n
-        and getattr(store, "is_exact_matrix", False)
-    ):
-        space = store.matrix
-        dc_major = space.server_dc_major
-        num_servers = len(dc_major)
-        gids = batch.gids
-        # Byte-wise view of the bit rows (block g is bit g & 7 of byte
-        # g >> 3 in little-endian word order), columns in DC-major order.
-        cells = (
-            space.bits.astype("<u8", copy=False).view(np.uint8).T[gids >> 3][
-                :, dc_major
-            ]
-            & _BIT[gids & 7][:, None]
-        )
-        if view.failed_agents:
-            down = np.zeros(num_servers, dtype=bool)
-            down[
-                [space.server_ids[s] for s in view.failed_agents if s in space.server_ids]
-            ] = True
-            cells[:, down[dc_major]] = 0
-        flat = cells.reshape(-1).nonzero()[0]
-        dst = batch.dst_sids
-        reach, paths = _reach_memo(view, space.server_names)
-        return _Rows(
-            space=space,
-            job_ids=[job.job_id for job in batch.jobs],
-            server_dc=space.server_dc_ids,
-            num_dcs=len(space.dc_names),
-            slot=batch.job_slots,
-            gids=gids,
-            index=batch.indices,
-            dst=dst,
-            dst_dc=batch.dc_gids,
-            sizes=sizes.gather(space, batch),
-            buffered=view.received_bytes_many(space, gids, dst),
-            pair_row=flat // num_servers,
-            pair_src=dc_major[flat % num_servers],
-            reach=reach,
-            paths=paths,
-        )
-    servers = view.topology.servers
-    space = IdSpace(sorted(servers))
-    server_ids = space.server_ids
-    dc_names = sorted({servers[name].dc for name in space.server_names})
-    dc_ids = {dc: i for i, dc in enumerate(dc_names)}
-    server_dc = [dc_ids[servers[name].dc] for name in space.server_names]
-    slot_of: Dict[str, int] = {}
-    holders_of: Dict[int, List[int]] = {}
-    pair_row: List[int] = []
-    pair_src: List[int] = []
-    for i, entry in enumerate(selections):
-        slot_of.setdefault(entry.job_id, len(slot_of))
-        gid = space.intern(entry.block.block_id)
-        holders = holders_of.get(gid)
-        if holders is None:
-            holders = holders_of[gid] = sorted(
-                (server_ids[s] for s in view.eligible_sources(entry.block.block_id)),
-                key=lambda s: (server_dc[s], s),
-            )
-        pair_row.extend([i] * len(holders))
-        pair_src.extend(holders)
-    dst = np.fromiter(
-        (server_ids[entry.dst_server] for entry in selections),
-        dtype=np.int64,
-        count=n,
+    matrix = view.store.matrix
+    if batch is None or len(batch.gids) != len(selections):
+        batch = _batch_of(view, selections)
+    space = matrix.base
+    dc_major = space.server_dc_major
+    num_servers = len(dc_major)
+    gids = batch.gids
+    # Byte-wise view of the bit rows (block g is bit g & 7 of byte
+    # g >> 3 in little-endian word order), columns in DC-major order.
+    cells = (
+        matrix.bits.astype("<u8", copy=False).view(np.uint8).T[gids >> 3][
+            :, dc_major
+        ]
+        & _BIT[gids & 7][:, None]
     )
-    gids = np.fromiter(
-        (space.block_gids[entry.block.block_id] for entry in selections),
-        dtype=np.int64,
-        count=n,
-    )
+    if view.failed_agents:
+        down = np.zeros(num_servers, dtype=bool)
+        down[
+            [space.server_ids[s] for s in view.failed_agents if s in space.server_ids]
+        ] = True
+        cells[:, down[dc_major]] = 0
+    flat = cells.reshape(-1).nonzero()[0]
+    dst = batch.dst_sids
     reach, paths = _reach_memo(view, space.server_names)
     return _Rows(
         space=space,
-        job_ids=list(slot_of),
-        server_dc=np.asarray(server_dc, dtype=np.int64),
-        num_dcs=len(dc_names),
-        slot=np.fromiter(
-            (slot_of[entry.job_id] for entry in selections),
-            dtype=np.int64,
-            count=n,
-        ),
+        job_ids=[job.job_id for job in batch.jobs],
+        server_dc=space.server_dc_ids,
+        num_dcs=len(space.dc_names),
+        slot=batch.job_slots,
         gids=gids,
-        index=np.fromiter(
-            (entry.block.index for entry in selections), dtype=np.int64, count=n
-        ),
+        index=batch.indices,
         dst=dst,
-        dst_dc=np.fromiter(
-            (dc_ids[entry.dst_dc] for entry in selections),
-            dtype=np.int64,
-            count=n,
-        ),
-        sizes=np.fromiter(
-            (entry.block.size for entry in selections),
-            dtype=np.float64,
-            count=n,
-        ),
+        dst_dc=batch.dc_gids,
+        sizes=sizes.gather(space, batch),
         buffered=view.received_bytes_many(space, gids, dst),
-        pair_row=np.asarray(pair_row, dtype=np.int64),
-        pair_src=np.asarray(pair_src, dtype=np.int64),
+        pair_row=flat // num_servers,
+        pair_src=dc_major[flat % num_servers],
         reach=reach,
         paths=paths,
+    )
+
+
+def _batch_of(
+    view: ClusterView, selections: Sequence[ScheduledBlock]
+) -> SelectionBatch:
+    """The :class:`SelectionBatch` of ``selections`` in the store's ids."""
+    matrix = view.store.matrix
+    jobs_by_id = {job.job_id: job for job in view.jobs}
+    jobs: List = []
+    slot_of: Dict[str, int] = {}
+    for entry in selections:
+        if entry.job_id not in slot_of:
+            slot_of[entry.job_id] = len(jobs)
+            jobs.append(jobs_by_id[entry.job_id])
+    n = len(selections)
+
+    def column(values) -> np.ndarray:
+        return np.fromiter(values, dtype=np.int64, count=n)
+
+    return SelectionBatch(
+        jobs=jobs,
+        gids=column(matrix.block_gids[e.block.block_id] for e in selections),
+        indices=column(e.block.index for e in selections),
+        dst_sids=column(matrix.server_ids[e.dst_server] for e in selections),
+        dc_gids=column(matrix.dc_ids[e.dst_dc] for e in selections),
+        job_slots=column(slot_of[e.job_id] for e in selections),
     )
 
 

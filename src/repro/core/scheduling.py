@@ -9,21 +9,15 @@ greedy per-cycle routing step rarely starves any block (§4.4's discussion).
 The selection is what shrinks the routing step's search space: only the
 selected deliveries become LP commodities.
 
-Two implementations coexist, selected by what the view carries:
-
-* **vectorized** (the end-to-end path): candidate (block, destination)
-  pairs live in the static per-(job, DC) int arrays of a
-  :class:`~repro.net.candidates.CandidateTable`; pending-ness, rarity and
-  the health filters are numpy gathers against the possession matrix, and
-  the rarity order is one stable integer sort. Emits a
-  :class:`~repro.core.decisions.SelectionBatch` so the router can keep
-  working in interned-id space.
-* **cached scalar**: per-candidate queries deduped through the view's
-  :class:`~repro.net.cycle_cache.CycleCache`. It runs whenever the matrix
-  is not the exact truth (speculation overlays) or the view carries no
-  candidate table for one of its jobs.
-
-Both produce identical selections in identical order.
+Candidate (block, destination) pairs live in the static per-(job, DC)
+int arrays of a :class:`~repro.net.candidates.CandidateTable`;
+pending-ness, rarity and the health filters are numpy gathers against the
+possession matrix, and the rarity order is one stable integer sort. The
+matrix may be the live one or a speculation overlay of it
+(:meth:`~repro.overlay.store.PossessionMatrix.overlay`), which shares the
+table's id space. Every selection comes with a
+:class:`~repro.core.decisions.SelectionBatch` so the router keeps working
+in interned-id space.
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.decisions import ScheduledBlock, SelectionBatch
+from repro.net.candidates import CandidateTable
 from repro.net.simulator import ClusterView
 from repro.overlay.blocks import Block
 
@@ -84,9 +79,8 @@ class RarestFirstScheduler:
             raise ValueError("max_blocks_per_cycle must be >= 0")
         self.max_blocks_per_cycle = max_blocks_per_cycle
         self.use_relays = use_relays
-        # Integer companion of the last vectorized selection (None when
-        # the cached scalar path ran); the router picks it up for its
-        # batched build.
+        # Integer companion of the last selection; the router picks it
+        # up for its batched build.
         self.last_batch: Optional[SelectionBatch] = None
 
     def select(self, view: ClusterView) -> List[ScheduledBlock]:
@@ -97,47 +91,35 @@ class RarestFirstScheduler:
         space, §5.3). Relay placements sort after all real deliveries.
         """
         started = _time.perf_counter()
-        self.last_batch = None
-        table = getattr(view, "_candidates", None)
-        store = view.store
-        # Engage the kernel only when the view's store is the very object
-        # the view was built around (not a proxy/overlay swapped in — the
-        # same exactness witness the pending maps use) and it answers
-        # straight from a live PossessionMatrix.
-        if (
-            table is not None
-            and store is getattr(view, "_map_store", None)
-            and getattr(store, "is_exact_matrix", False)
-        ):
-            matrix = store.matrix
-            if table.matrix is matrix:
-                result = self._select_vectorized(view, table, matrix, started)
-                if result is not None:
-                    return result
-        return self._select_cached(view, view._cache, started)
+        matrix = view.store.matrix
+        table = view._candidates
+        if table is None or table.matrix is not matrix.base:
+            table = view._candidates = CandidateTable((), matrix.base)
+        return self._select_vectorized(view, table, matrix, started)
 
     # -- vectorized kernel -------------------------------------------------
 
     def _select_vectorized(
         self, view: ClusterView, table, matrix, started: float
-    ) -> Optional[List[ScheduledBlock]]:
+    ) -> List[ScheduledBlock]:
         """Array-native selection over the static candidate table.
-
-        Returns ``None`` (fall back to the cached scalar path) if the table
-        does not know one of the view's jobs.
 
         Per candidate group: one possession gather decides pending-ness
         (matrix bit test for deliveries, DC copy-count for relays), one
         ``dup`` gather supplies rarity, boolean masks apply the failure
         filters, and the surviving rows of all groups are ordered by a
-        single stable sort on a packed integer key equal to the scalar
-        path's tuple key ``(is_relay, -priority, duplicates, block index)`` —
+        single stable sort on a packed integer key equal to the tuple
+        key ``(is_relay, -priority, duplicates, block index)`` —
         stability supplies the insertion-order tie-break, and the group
-        concatenation order *is* the scalar enumeration order.
+        concatenation order (jobs in view order, then each job's
+        destination and relay DCs) is the enumeration order.
 
-        Groups compact their ``alive`` rows when a gather finds them
-        >50% possession-dead; possession is monotone during a run, so
-        dead rows never resurrect (see :mod:`repro.net.candidates`).
+        Groups compact their ``alive`` rows when a gather of the table's
+        own matrix finds them >50% possession-dead; possession is monotone
+        during a run, so dead rows never resurrect (see
+        :mod:`repro.net.candidates`). A speculation overlay never
+        compacts: its extra copies are guesses, and the rows they kill
+        must stay alive for the next real cycle.
         """
         groups_by_job = table.groups_by_job
         failed = view.failed_agents
@@ -154,6 +136,7 @@ class RarestFirstScheduler:
         dup_all = matrix.dup
         dc_counts = matrix.dc_counts
         use_relays = self.use_relays
+        compact = matrix is table.matrix
 
         # Per-surviving-row columns, one array per group, concatenated
         # once. ``row`` is the candidate's original row in its group, the
@@ -179,7 +162,8 @@ class RarestFirstScheduler:
         for job_slot, job in enumerate(view.jobs):
             groups = groups_by_job.get(job.job_id)
             if groups is None:
-                return None
+                table.ensure_job(job)
+                groups = groups_by_job[job.job_id]
             neg_priority = -getattr(job, "priority", 0)
             for group in groups:
                 if group.is_relay and not use_relays:
@@ -206,7 +190,7 @@ class RarestFirstScheduler:
                     rows = rows[keep]
                     gids = gids[keep]
                     full = False
-                    if ndead * 2 > n:
+                    if compact and ndead * 2 > n:
                         group.alive = rows
                     if rows.size == 0:
                         continue
@@ -265,7 +249,7 @@ class RarestFirstScheduler:
         )
         ends = np.cumsum(sizes)
 
-        # One stable sort on a packed integer key ≡ the scalar ascending
+        # One stable sort on a packed integer key ≡ an ascending
         # tuple sort (relay, -priority, duplicates, block index) with
         # insertion order breaking ties. The (relay, priority) fields are
         # constant within a group, so each group's key is built in place
@@ -353,90 +337,5 @@ class RarestFirstScheduler:
             dc_gids=dcgid_per_slot[slot_arr],
             job_slots=jslot_per_slot[slot_arr],
         )
-        self.last_runtime = _time.perf_counter() - started
-        return selected
-
-    # -- cached scalar path ------------------------------------------------
-
-    def _select_cached(
-        self, view: ClusterView, cache, started: float
-    ) -> List[ScheduledBlock]:
-        """Scalar selection with per-cycle memoized store queries.
-
-        The view's :class:`~repro.net.cycle_cache.CycleCache` dedupes the
-        rarity and source queries to one per distinct block id per cycle,
-        and the sort runs without a per-comparison key callable. Same
-        blocks, same order as the vectorized kernel.
-        """
-        # Validate the cycle memos once, then work on the raw dicts: at
-        # 10^5 candidates even a method call per query is measurable.
-        cache.validate_sources(view.store.epoch, view._failed_frozen)
-        sources_memo = cache.sources
-        rarity_memo = cache.rarity
-        store = view.store
-        holders_of = store.holders
-        dup_of = store.duplicate_count
-        failed = view.failed_agents
-        # Sort tuples carry an insertion counter so ties keep arrival
-        # order (a stable sort on the first four fields) without a
-        # per-comparison key lambda.
-        candidates: List[Tuple[int, int, int, int, int, ScheduledBlock]] = []
-        append = candidates.append
-        order = 0
-        for job in view.jobs:
-            priority = getattr(job, "priority", 0)
-            neg_priority = -priority
-            job_id = job.job_id
-            pending: List[Tuple[Block, str, str, bool]] = [
-                (block, dc, server, False)
-                for block, dc, server in view.pending_deliveries(job)
-            ]
-            if self.use_relays and job.relay_dcs:
-                pending.extend(
-                    (block, dc, server, True)
-                    for block, dc, server in view.pending_relay_placements(job)
-                )
-            for block, dst_dc, dst_server, is_relay in pending:
-                if dst_server in failed:
-                    continue
-                bid = block.block_id
-                duplicates = rarity_memo.get(bid)
-                if duplicates is None:
-                    duplicates = dup_of(bid)
-                    rarity_memo[bid] = duplicates
-                if duplicates == 0:
-                    continue
-                sources = sources_memo.get(bid)
-                if sources is None:
-                    holders = holders_of(bid)
-                    if failed:
-                        sources = [s for s in holders if s not in failed]
-                    else:
-                        sources = list(holders)
-                    sources_memo[bid] = sources
-                if not sources:
-                    continue
-                append(
-                    (
-                        1 if is_relay else 0,
-                        neg_priority,
-                        duplicates,
-                        block.index,
-                        order,
-                        ScheduledBlock(
-                            job_id=job_id,
-                            block=block,
-                            dst_dc=dst_dc,
-                            dst_server=dst_server,
-                            duplicates=duplicates,
-                            is_relay=is_relay,
-                        ),
-                    )
-                )
-                order += 1
-        candidates.sort()
-        selected = [item[5] for item in candidates]
-        if self.max_blocks_per_cycle:
-            selected = selected[: self.max_blocks_per_cycle]
         self.last_runtime = _time.perf_counter() - started
         return selected

@@ -33,16 +33,16 @@ snapshot alone. Possession is monotone while a simulation runs (the
 simulator never drops copies mid-run; disk-loss enters as *agent*
 failure), so a mirror can never hold a copy the global store has lost.
 
-Because the mirror store answers straight from a live
-:class:`~repro.overlay.store.PossessionMatrix` and carries a candidate
-table, mirror decides run the *vectorized* scheduling kernel and the
-batched router build — bit-identical to deciding on sub-views of the
-shared store, as speculation overlays still do (shard-local gid
-numbering differs with arrival order, but nothing downstream compares
-gids across jobs; holders, duplicate counts, and iteration orders are
-equal), so ``shard_mode`` does not change results. The
-``sharded-speculation`` golden fingerprint covers the shared-store
-path.
+Mirror decides run the same vectorized scheduling kernel and batched
+router build as the single controller, over the mirror's own possession
+matrix and candidate table — bit-identical to deciding on the shared
+store (shard-local gid numbering differs with arrival order, but nothing
+downstream compares gids across jobs; holders, duplicate counts, and
+iteration orders are equal), so ``shard_mode`` does not change results.
+With speculation on (§5.1), the payload also carries the speculated
+deliveries of the shard's blocks, and the mirror decides on a
+:meth:`~repro.overlay.store.PossessionIndex.overlay` of its index that
+holds them; the mirror itself only ever ingests real deliveries.
 
 Determinism: the parent feeds and submits due shards in shard-index
 order and gathers results in the same order, so the combined directive
@@ -76,6 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 BlockId = Tuple[str, int]
 ResourceKey = Tuple[str, str]
+#: ``(block_id, dst_server)`` possession pairs.
+Pairs = List[Tuple[BlockId, str]]
 
 
 @dataclass
@@ -102,7 +104,11 @@ class ShardPayload:
     )
     #: Possession deltas since this shard's previous payload:
     #: ``(block_id, dst_server)`` in delivery-log order.
-    deliveries: List[Tuple[BlockId, str]] = field(default_factory=list)
+    deliveries: Pairs = field(default_factory=list)
+    #: Deliveries speculated to land during this decide (§5.1), of the
+    #: shard's blocks only. The mirror decides on an overlay holding
+    #: them and does not ingest them.
+    speculated: Pairs = field(default_factory=list)
     #: In-flight partial bytes. Process mode filters to the shard's
     #: blocks (pickle size); in-process passes the live map (strategies
     #: only query their own blocks' keys, so results are identical).
@@ -117,7 +123,8 @@ class ShardPayload:
 
         Counts the components that actually cross the mirror boundary
         each decide — new jobs (dominated by their block lists), holders
-        snapshots, and the watermark delivery replay — with fixed
+        snapshots, the watermark delivery replay and the speculated
+        deliveries — with fixed
         per-entry costs, so the telemetry is deterministic and identical
         across execution modes (a real ``pickle.dumps`` would charge the
         in-process mode for serialization it never performs). The
@@ -129,7 +136,7 @@ class ShardPayload:
             total += 256 + 96 * len(job.blocks)
         for _job_id, _server, indices in self.new_holders:
             total += 48 + 8 * len(indices)
-        total += 56 * len(self.deliveries)
+        total += 56 * (len(self.deliveries) + len(self.speculated))
         return total
 
 
@@ -155,8 +162,7 @@ class ShardResult:
     wall: float
     #: Shard-local state telemetry: possession-array bytes and candidate
     #: table bytes of the mirror after this decide, and the structural
-    #: size of the delta payload that fed it. Zero on the shared-store
-    #: path of speculation overlays, which holds no per-shard state.
+    #: size of the delta payload that fed it.
     state_bytes: int = 0
     candidate_bytes: int = 0
     payload_bytes: int = 0
@@ -172,9 +178,9 @@ class ShardMirror:
     jobs arrive, the scheduler/router pair (with the router's private
     FPTAS warm store), and a persistent :class:`CycleCache`. Fed by
     :meth:`apply`-ing :class:`ShardPayload` deltas; :meth:`decide` runs
-    one schedule+route over a plain :class:`ClusterView` whose store IS
-    the mirror — the exactness witness holds, so the vectorized kernel
-    and the batched router build engage.
+    one schedule+route over a plain :class:`ClusterView` whose store is
+    the mirror's index, or an overlay of it when the payload carries
+    speculated deliveries.
     """
 
     def __init__(
@@ -249,11 +255,17 @@ class ShardMirror:
         """One schedule+route over the mirror for this payload's cycle."""
         import time as _time
 
+        from repro.net.cycle_cache import CycleCache
         from repro.net.simulator import ClusterView
 
+        store, cache = self.store, self.cache
+        if payload.speculated:
+            # The overlay's memos must not outlive it: fresh cache.
+            store = store.overlay(payload.speculated)
+            cache = CycleCache()
         view = ClusterView(
             topology=self.topology,
-            store=self.store,
+            store=store,
             jobs=[self.jobs_by_id[jid] for jid in payload.active_job_ids],
             cycle=payload.cycle,
             time=payload.time,
@@ -263,7 +275,7 @@ class ShardMirror:
             controller_available=True,
             partial_bytes=payload.partials,
             failed_links=payload.failed_links,
-            cache=self.cache,
+            cache=cache,
             candidates=self.candidates,
         )
         started = _time.perf_counter()
@@ -315,8 +327,12 @@ class ShardFeed:
         bucket: Sequence["MulticastJob"],
         config: "BDSConfig",
         isolate: bool,
+        speculated: Pairs,
     ) -> ShardPayload:
         """The shard's delta payload for this cycle's view.
+
+        ``speculated`` are the deliveries of the shard's blocks speculated
+        to land during this decide; they ride along as given.
 
         ``isolate=True`` (process mode) copies the budget map and
         filters the partial-bytes map to the shard's blocks — the
@@ -396,6 +412,7 @@ class ShardFeed:
             new_jobs=new_jobs,
             new_holders=new_holders,
             deliveries=deliveries,
+            speculated=speculated,
             partials=partials,
             topology=view.topology if first else None,
             config=config if first else None,
@@ -406,11 +423,10 @@ class LocalShardRunner:
     """In-process shard-local mirrors (``shard_mode="inprocess"``).
 
     The in-process twin of :class:`ShardExecutor`: same feed, same
-    mirrors, no process boundary. Compared to deciding on sub-views of
-    the shared store this trades one extra (partitioned) copy of
-    possession state for per-shard candidate tables and caches that are
-    O(pairs/shards) — the memory shape that lets a shard lift out to its
-    own process or host unchanged.
+    mirrors, no process boundary. It keeps one extra (partitioned) copy
+    of possession state for per-shard candidate tables and caches that
+    are O(pairs/shards) — the memory shape that lets a shard lift out to
+    its own process or host unchanged.
     """
 
     def __init__(
@@ -425,12 +441,21 @@ class LocalShardRunner:
         view: "ClusterView",
         buckets: Sequence[Sequence["MulticastJob"]],
         due: Sequence[int],
+        speculated: Sequence[Pairs],
     ) -> List[ShardResult]:
-        """Run the due shards' decides in shard-index order."""
+        """Run the due shards' decides in shard-index order.
+
+        ``speculated[s]`` are shard ``s``'s speculated deliveries.
+        """
         results: List[ShardResult] = []
         for shard in due:
             payload = self.feed.payload(
-                view, shard, buckets[shard], self.config, isolate=False
+                view,
+                shard,
+                buckets[shard],
+                self.config,
+                isolate=False,
+                speculated=speculated[shard],
             )
             mirror = self._mirrors[shard]
             if mirror is None:
@@ -495,12 +520,21 @@ class ShardExecutor:
         view: "ClusterView",
         buckets: Sequence[Sequence["MulticastJob"]],
         due: Sequence[int],
+        speculated: Sequence[Pairs],
     ) -> List[ShardResult]:
-        """Run the due shards' decides concurrently; results in due order."""
+        """Run the due shards' decides concurrently; results in due order.
+
+        ``speculated[s]`` are shard ``s``'s speculated deliveries.
+        """
         futures = []
         for shard in due:
             payload = self.feed.payload(
-                view, shard, buckets[shard], self.config, isolate=True
+                view,
+                shard,
+                buckets[shard],
+                self.config,
+                isolate=True,
+                speculated=speculated[shard],
             )
             pool = self._pools[shard]
             if pool is None:

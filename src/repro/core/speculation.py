@@ -8,15 +8,19 @@ that will land during the decision window have landed.
 
 :class:`DeliverySpeculator` consumes the previous cycle's directives and
 produces the set of block deliveries expected to complete within a given
-horizon; :class:`SpeculatedView` overlays those onto a real
-:class:`~repro.net.simulator.ClusterView` without mutating the underlying
-possession index.
+horizon; :class:`SpeculatedView` is a
+:class:`~repro.net.simulator.ClusterView` over an overlay of the possession
+index that also holds them (:meth:`~repro.overlay.store.PossessionIndex.
+overlay`), so the controller decides on the speculated state through its
+one vectorized path without mutating the real index. A sharded controller
+hands each shard its own speculated deliveries instead, and the shard
+mirror decides on an overlay of its own index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.utils.validation import check_non_negative
@@ -85,101 +89,35 @@ class DeliverySpeculator:
         return speculated
 
 
-class _SpeculatedStore:
-    """Read-only possession overlay: real store + speculated deliveries."""
-
-    # The wrapped store's PossessionMatrix (if any) does not know about
-    # the speculated extra copies, so array consumers must not answer
-    # from it. A class attribute (not delegation through __getattr__,
-    # which would leak the real store's True) pins the witness to False.
-    is_exact_matrix = False
-
-    def __init__(self, store, extra: Iterable[SpeculatedDelivery]) -> None:
-        self._store = store
-        self._extra_by_server: Dict[str, Set[BlockId]] = {}
-        self._extra_holders: Dict[BlockId, Set[str]] = {}
-        for delivery in extra:
-            self._extra_by_server.setdefault(delivery.dst_server, set()).add(
-                delivery.block_id
-            )
-            self._extra_holders.setdefault(delivery.block_id, set()).add(
-                delivery.dst_server
-            )
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
-
-    def has(self, server_id: str, block_id: BlockId) -> bool:
-        if block_id in self._extra_by_server.get(server_id, ()):
-            return True
-        return self._store.has(server_id, block_id)
-
-    def holders(self, block_id: BlockId) -> Set[str]:
-        return self._store.holders(block_id) | self._extra_holders.get(
-            block_id, set()
-        )
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        return len(self.holders(block_id))
-
-    def blocks_on(self, server_id: str) -> Set[BlockId]:
-        return self._store.blocks_on(server_id) | self._extra_by_server.get(
-            server_id, set()
-        )
-
-    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        if self._store.dc_has_block(dc, block_id):
-            return True
-        return any(
-            self._store.dc_of(s) == dc
-            for s in self._extra_holders.get(block_id, ())
-        )
-
-
 class SpeculatedView(ClusterView):
-    """A :class:`ClusterView` whose store reflects speculated deliveries.
+    """A :class:`ClusterView` over the speculated delivery state.
 
-    Construction is cheap: the underlying view's fields are shared; only
-    the store is wrapped. The base view's :class:`CycleCache` is *not*
-    shared — its source/rarity memos answer for the real store, and the
-    wrapped store sees extra speculated holders — so this view gets a
-    fresh cache of its own (path memos are rebuilt; source memos key on
-    the wrapped store's epoch). The simulator's pending maps are shared:
-    they track the real store only, and the inherited pending accessors
-    re-check every map entry against ``self.store`` — here the wrapped
-    store — so speculated deliveries drop out exactly as a full scan
-    over the wrapped store would.
+    The store is :meth:`PossessionIndex.overlay` of the base view's store
+    with the speculated copies added, so the scheduler's kernel and the
+    router's matrix gather read the speculated state straight from the
+    overlay's possession matrix. The view keeps the base view's candidate
+    table (the overlay shares its id space) and gets a fresh
+    :class:`CycleCache`: the base cache's memos answer for the real store.
+    The simulator's pending maps track the real store only, so the view
+    does not carry them; ``pending_deliveries`` scans instead.
     """
 
     def __init__(
         self, base: ClusterView, deliveries: Iterable[SpeculatedDelivery]
     ) -> None:
-        from repro.net.cycle_cache import CycleCache
-
-        self.topology = base.topology
-        self.store = _SpeculatedStore(base.store, deliveries)
-        self.jobs = base.jobs
-        self.cycle = base.cycle
-        self.time = base.time
-        self.cycle_seconds = base.cycle_seconds
-        self.bulk_capacities = base.bulk_capacities
-        self.failed_agents = base.failed_agents
-        self.controller_available = base.controller_available
-        self.failed_links = base.failed_links
-        self._partial = base._partial
-        self._pending_map = base._pending_map
-        self._relay_pending_map = base._relay_pending_map
-        self._blocks_by_id = base._blocks_by_id
-        self._cache = CycleCache()
-        self._failed_frozen = base._failed_frozen
-        self._pending_order = base._pending_order
-        self._relay_order = base._relay_order
-        # The wrapped store shadows the real one with speculated extra
-        # copies, so the exactness witness must not hold: keep the *base*
-        # store as the witness object — ``self.store`` (the wrapper) is a
-        # different object, forcing the per-entry possession re-check.
-        self._map_store = base._map_store
-        self._map_epoch = base._map_epoch
-        # No candidate table: the vectorized kernel reads possession
-        # straight from the matrix, which does not see speculated copies.
-        self._candidates = None
+        super().__init__(
+            topology=base.topology,
+            store=base.store.overlay(
+                (d.block_id, d.dst_server) for d in deliveries
+            ),
+            jobs=base.jobs,
+            cycle=base.cycle,
+            time=base.time,
+            cycle_seconds=base.cycle_seconds,
+            bulk_capacities=base.bulk_capacities,
+            failed_agents=base.failed_agents,
+            controller_available=base.controller_available,
+            partial_bytes=base._partial,
+            failed_links=base.failed_links,
+            candidates=base._candidates,
+        )

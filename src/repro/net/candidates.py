@@ -9,21 +9,22 @@ matrix with array gathers.
 
 :class:`CandidateTable` materializes that decision space once per
 simulation as parallel int arrays (block column id, block index, assigned
-destination server id), grouped per (job, DC) in the exact enumeration
-order of the scalar scheduler's scan: for each job, destination DCs first (in
-``job.dst_dcs`` order), then relay DCs, each group in ascending block
-index. The vectorized ``select`` concatenates the groups' still-alive
-rows, which reproduces the scalar insertion order — the tie-breaker of
-the stable rarity sort — by construction.
+destination server id), grouped per (job, DC) in enumeration order: for
+each job, destination DCs first (in ``job.dst_dcs`` order), then relay
+DCs, each group in ascending block index. ``select`` concatenates the
+groups' still-alive rows, so this order is the tie-breaker of the stable
+rarity sort.
 
 Groups track an ``alive`` row subset that is compacted lazily: when more
 than half of a group's alive rows turn out possession-dead during a
-cycle's gather, the dead rows are dropped for good. Possession is
-monotone while a simulation runs (the simulator never drops copies
-mid-run; disk-loss enters as *agent* failure), so a dead candidate can
-never come back — the same never-re-add reasoning the simulator's
-pending maps rely on. Steady-state per-cycle cost therefore
-tracks remaining work, not total state size.
+cycle's gather of the table's own matrix, the dead rows are dropped for
+good. Possession is monotone while a simulation runs (the simulator never
+drops copies mid-run; disk-loss enters as *agent* failure), so a dead
+candidate can never come back — the same never-re-add reasoning the
+simulator's pending maps rely on. A gather of a speculation overlay
+(:meth:`~repro.overlay.store.PossessionMatrix.overlay`) never compacts:
+its extra copies are not monotone truth. Steady-state per-cycle cost
+therefore tracks remaining work, not total state size.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ class CandidateTable:
     called defensively so the table never depends on seeding order).
     Owned by the :class:`~repro.net.simulator.Simulation` and shared by
     every cycle's view — including partition clones, whose extra failed
-    agents are a per-cycle mask, not a table property. Speculation
-    overlays must *not* carry the table (their store shadows the matrix
-    with phantom copies); :class:`~repro.core.speculation.SpeculatedView`
-    drops it, which sends the scheduler down the scalar path.
+    agents are a per-cycle mask, not a table property, and speculation
+    views, whose overlay matrix shares this table's id space (``matrix``
+    is the overlay's ``base``).
 
     The table also grows incrementally: a sharded controller's
     partition-scoped mirrors start empty and :meth:`ensure_job` each job

@@ -1,13 +1,13 @@
 """Per-cycle memoization for the controller/simulator hot path.
 
 The centralized control loop issues the same read-only queries many times
-per cycle: the scheduler asks for rarity and eligible sources once per
+per cycle: strategies ask for the eligible sources of a block once per
 pending *(block, destination)* pair, and the router re-derives the WAN
 path once per *(holder, destination)* candidate. At 10^5 outstanding
 blocks those duplicates dominate the cycle (§5.1's scalability argument
 only holds if per-tick cost tracks the delta in state, not its size).
 
-:class:`CycleCache` memoizes three query families, each guarded by an
+:class:`CycleCache` memoizes two query families, each guarded by an
 explicit validity key so stale answers are structurally impossible:
 
 * **paths** — ``flow_resources(src, dst)`` results, valid while
@@ -18,8 +18,6 @@ explicit validity key so stale answers are structurally impossible:
 * **sources** — eligible-source lists per block, valid while
   ``(store.epoch, failed_agents)`` is unchanged. Any possession mutation
   (delivery, seed, drop) bumps the store epoch and flushes it.
-* **rarity** — cluster-wide duplicate counts per block, same validity
-  as sources.
 
 Ownership: the :class:`~repro.net.simulator.Simulation` owns one
 instance and threads it into each cycle's
@@ -27,9 +25,10 @@ instance and threads it into each cycle's
 :class:`~repro.core.shardexec.ShardMirror` additionally owns its *own*
 persistent instance scoped to that shard's partition, so memo tables
 (and their flush churn) are O(pairs/k) per shard rather than cluster
-wide. Derived views (speculation overlays, partition clones) must *not*
-share any of these because their store/failure state differs — they get
-a fresh instance.
+wide. Speculation views must *not* share any of these because their
+store differs — they get a fresh instance; partition clones share the
+view's instance, and their different failed-agent set flushes the source
+memo.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class CycleCache:
         "paths_ids",
         "_source_key",
         "sources",
-        "rarity",
         "hits",
         "misses",
         "flushes",
@@ -166,7 +164,6 @@ class CycleCache:
         self.paths_ids: Dict[int, Optional[Tuple[ResourceKey, ...]]] = {}
         self._source_key: Optional[SourceKey] = None
         self.sources: Dict[BlockId, List[str]] = {}
-        self.rarity: Dict[BlockId, int] = {}
         # Telemetry (coarse; bumped by ClusterView's cached accessors).
         self.hits: int = 0
         self.misses: int = 0
@@ -207,17 +204,16 @@ class CycleCache:
     def validate_sources(
         self, store_epoch: int, failed_agents: FrozenSet
     ) -> None:
-        """Flush source/rarity memos if possession or failures changed."""
+        """Flush the source memo if possession or failures changed."""
         key = (store_epoch, failed_agents)
         if key != self._source_key:
             self._source_key = key
-            if self.sources or self.rarity:
+            if self.sources:
                 self.sources = {}
-                self.rarity = {}
                 self.flushes += 1
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/flush counters (consumed by the hot-path benchmark)."""
+        """Hit/miss/flush counters."""
         return {
             "hits": self.hits,
             "misses": self.misses,

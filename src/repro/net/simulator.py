@@ -20,7 +20,6 @@ next cycle, exactly like BDS's per-cycle choice of ``w_b,s``.
 
 from __future__ import annotations
 
-import copy
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -87,8 +86,8 @@ class IdSpace:
     in an *id space*: normally the live
     :class:`~repro.overlay.store.PossessionMatrix` (same attribute names:
     ``server_names``/``server_ids``/``block_names``/``block_gids``), and
-    this standalone table when there is no matrix to borrow —
-    speculation overlays, unpickled batches. Server ids
+    this standalone table when there is no matrix to borrow (unpickled
+    batches, lists packed without a space). Server ids
     are assigned in the given order; blocks are interned on first sight.
     """
 
@@ -183,8 +182,8 @@ class DirectiveBatch(Sequence[TransferDirective]):
     ) -> "DirectiveBatch":
         """``directives`` as a batch in ``space`` (a fresh :class:`IdSpace`
         when ``None``). A batch already in ``space`` is returned as is;
-        one in another space (the router's own :class:`IdSpace`, off the
-        matrix fast path) is re-packed from its directives."""
+        one in another space (an unpickled batch's :class:`IdSpace`) is
+        re-packed from its directives."""
         if isinstance(directives, DirectiveBatch) and (
             space is None or directives.space is space
         ):
@@ -297,9 +296,9 @@ class DirectiveBatch(Sequence[TransferDirective]):
 
     def take(self, rows: Sequence[int]) -> "DirectiveBatch":
         """The sub-batch of directives ``rows``, in that order."""
-        if len(rows) == len(self):
-            return self
         idx = np.asarray(rows, dtype=np.int64)
+        if len(idx) == len(self) and (idx == np.arange(len(idx))).all():
+            return self
         counts = self.counts[idx]
         offsets = np.zeros(len(idx) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -521,7 +520,8 @@ class CycleStats:
     time_shard_mean: float = 0.0
     time_reconcile: float = 0.0
     # Shard-local state telemetry, forwarded from the strategy's
-    # decision record (zeros on the shared-store paths): the effective
+    # decision record (zeros on the single-controller path and for
+    # decentralized baselines): the effective
     # decide stride this cycle (tracks the adaptive stride under
     # shard_stride="auto"), max per-shard possession-array and
     # candidate-table bytes over the shards that decided fresh, and the
@@ -572,11 +572,9 @@ class SimResult:
         return [s.blocks_delivered for s in self.cycle_stats]
 
     def stage_time_totals(self) -> Dict[str, float]:
-        """Summed per-stage wall-clock seconds across all cycles.
-
-        The hot-path benchmark consumes this to show where the control
-        loop spends its time (view-build / schedule / route /
-        rate-resolve / deliver).
+        """Summed per-stage wall-clock seconds across all cycles: where
+        the control loop spent its time (view-build / decide / schedule /
+        route / rate-resolve / deliver / reconcile).
         """
         totals = {
             "view_build": 0.0,
@@ -673,12 +671,12 @@ class ClusterView:
     cycles (the next cycle reuses and mutates them in place).
 
     The simulator also threads in its pending bookkeeping (``pending`` /
-    ``relay_pending`` / ``blocks_by_id``) and its persistent
-    :class:`CycleCache`, so ``pending_deliveries`` iterates only
-    still-missing entries and the rarity/source/path queries are
-    memoized. Without the pending maps (shard mirror views) the pending
-    accessors scan every (destination DC, block) pair, with identical
-    results; a view built without a cache gets a fresh one.
+    ``blocks_by_id``) and its persistent :class:`CycleCache`, so
+    ``pending_deliveries`` iterates only still-missing entries and the
+    source/path queries are memoized. Without the pending maps (shard
+    mirror and speculation views) ``pending_deliveries`` scans every
+    (destination DC, block) pair, with identical results; a view built
+    without a cache gets a fresh one.
     """
 
     def __init__(
@@ -695,11 +693,9 @@ class ClusterView:
         partial_bytes: Mapping[Tuple[BlockId, str], float],
         failed_links: frozenset = frozenset(),
         pending: Optional[Mapping[Tuple[str, str], Set[Tuple[BlockId, str]]]] = None,
-        relay_pending: Optional[Mapping[Tuple[str, str], Set[BlockId]]] = None,
         blocks_by_id: Optional[Mapping[BlockId, Block]] = None,
         cache: Optional[CycleCache] = None,
         pending_order: Optional[Dict[Tuple[str, str], List[Tuple[BlockId, str]]]] = None,
-        relay_order: Optional[Dict[Tuple[str, str], List[BlockId]]] = None,
         candidates: Optional["CandidateTableLike"] = None,
     ) -> None:
         self.topology = topology
@@ -714,23 +710,20 @@ class ClusterView:
         self.failed_links = frozenset(failed_links)
         self._partial = partial_bytes
         self._pending_map = pending
-        self._relay_pending_map = relay_pending
         self._blocks_by_id = blocks_by_id
         self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
-        # Ordered iteration hints for the pending maps (see the accessors)
-        # plus the exactness witness: while the store object is this very
-        # one and its epoch is unchanged since view construction, the
-        # pending maps are exact and the per-entry possession re-check is
-        # skipped. Any out-of-band store mutation bumps the epoch and
-        # drops the view back to the re-checking path.
+        # Ordered iteration hint for the pending map (see
+        # pending_deliveries) plus the exactness witness: while the store
+        # object is this very one and its epoch is unchanged since view
+        # construction, the pending map is exact and the per-entry
+        # possession re-check is skipped. Any out-of-band store mutation
+        # bumps the epoch and drops the view back to the re-checking path.
         self._pending_order = pending_order
-        self._relay_order = relay_order
         self._map_store = store
         self._map_epoch = getattr(store, "epoch", -1)
-        # Static candidate arrays for the vectorized scheduling kernel
-        # (see repro.net.candidates); None sends the scheduler down the
-        # cached scalar path.
+        # Static candidate arrays for the scheduling kernel (see
+        # repro.net.candidates); the scheduler builds one when None.
         self._candidates = candidates
 
     def agent_is_up(self, server_id: str) -> bool:
@@ -744,7 +737,7 @@ class ClusterView:
         centralized logic must not schedule them as sources or sinks.
 
         The clone shares this view's :class:`CycleCache`; its different
-        failed-agent set flushes the source/rarity memos via the cache's
+        failed-agent set flushes the source memos via the cache's
         validity key while the path memos stay warm.
         """
         clone = ClusterView(
@@ -760,34 +753,11 @@ class ClusterView:
             partial_bytes=self._partial,
             failed_links=self.failed_links,
             pending=self._pending_map,
-            relay_pending=self._relay_pending_map,
             blocks_by_id=self._blocks_by_id,
             cache=self._cache,
             pending_order=self._pending_order,
-            relay_order=self._relay_order,
             candidates=self._candidates,
         )
-        return clone
-
-    def with_jobs(
-        self, jobs: Sequence[MulticastJob], cache: Optional[CycleCache] = None
-    ) -> "ClusterView":
-        """A shallow clone of this view scoped to ``jobs``.
-
-        Used by the sharded control plane to hand each controller shard
-        its job partition: the clone shares every other structure with
-        this view (store, pending maps, budgets, candidate table — jobs
-        are disjoint in blocks, so a shard simply never looks at another
-        shard's rows), and ``cache`` substitutes the shard's own
-        :class:`CycleCache` so shards keep independent warm memos.
-        Implemented with :func:`copy.copy` so subclasses (notably
-        :class:`~repro.core.speculation.SpeculatedView`) keep their
-        exactness witnesses — in particular ``_map_store`` — untouched.
-        """
-        clone = copy.copy(self)
-        clone.jobs = list(jobs)
-        if cache is not None:
-            clone._cache = cache
         return clone
 
     def flow_resources(
@@ -847,9 +817,9 @@ class ClusterView:
         store = self.store
         # Exactness: the simulator discards entries on every delivery, so
         # while the store is untouched otherwise (same object, same
-        # epoch) set membership alone decides pending-ness. A store that
-        # shadows the real one (speculation overlay) or an out-of-band
-        # mutation (epoch bump) drops us to the re-checking path.
+        # epoch) set membership alone decides pending-ness. A store swapped
+        # in after construction or an out-of-band mutation (epoch bump)
+        # drops us to the re-checking path.
         exact = store is self._map_store and (
             getattr(store, "epoch", -2) == self._map_epoch
         )
@@ -903,58 +873,6 @@ class ClusterView:
             result = list(holders)
         cache.sources[block_id] = result
         return result
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        """Cluster-wide copy count (§4.3 rarity), memoized per block id."""
-        cache = self._cache
-        cache.validate_sources(self.store.epoch, self._failed_frozen)
-        count = cache.rarity.get(block_id)
-        if count is None:
-            count = self.store.duplicate_count(block_id)
-            cache.rarity[block_id] = count
-        return count
-
-    def pending_relay_placements(
-        self, job: MulticastJob
-    ) -> List[Tuple[Block, str, str]]:
-        """Relay copies worth creating: (block, relay_dc, relay server).
-
-        Only for jobs configured with ``relay_dcs``. A relay placement is
-        pending while the relay DC holds no copy of the block; relays do
-        not count toward completion but widen the Type I path diversity
-        through non-destination DCs (Fig. 1).
-        """
-        placements: List[Tuple[Block, str, str]] = []
-        relay_map = self._relay_pending_map
-        order_map = self._relay_order
-        blocks_by_id = self._blocks_by_id
-        store = self.store
-        exact = store is self._map_store and (
-            getattr(store, "epoch", -2) == self._map_epoch
-        )
-        for dc in job.relay_dcs:
-            key = (job.job_id, dc)
-            entries = relay_map.get(key) if relay_map is not None else None
-            if entries is None or blocks_by_id is None or order_map is None:
-                for block in job.blocks:
-                    if self.store.dc_has_block(dc, block.block_id):
-                        continue
-                    server = job.assigned_server(dc, block.block_id)
-                    placements.append((block, dc, server))
-                continue
-            order = order_map[key]
-            if len(order) > 2 * len(entries):
-                order = [bid for bid in order if bid in entries]
-                order_map[key] = order
-            for bid in order:
-                if bid not in entries:
-                    continue
-                if not exact and store.dc_has_block(dc, bid):
-                    continue
-                placements.append(
-                    (blocks_by_id[bid], dc, job.assigned_server(dc, bid))
-                )
-        return placements
 
 
 class Simulation:
@@ -1044,23 +962,6 @@ class Simulation:
                 self._pending[(job.job_id, dc)] = set(ordered)
                 self._pending_order[(job.job_id, dc)] = ordered
 
-        # (job, relay dc) -> block ids the relay DC holds no copy of yet.
-        # Mirrors what pending_relay_placements would compute by scanning;
-        # maintained incrementally by _apply_deliveries.
-        self._relay_pending: Dict[Tuple[str, str], Set[BlockId]] = {}
-        self._relay_order: Dict[Tuple[str, str], List[BlockId]] = {}
-        self._relay_dcs_by_job: Dict[str, Tuple[str, ...]] = {}
-        for job in self.jobs:
-            self._relay_dcs_by_job[job.job_id] = job.relay_dcs
-            for dc in job.relay_dcs:
-                ordered_ids = [
-                    block.block_id
-                    for block in job.blocks
-                    if not self.store.dc_has_block(dc, block.block_id)
-                ]
-                self._relay_pending[(job.job_id, dc)] = set(ordered_ids)
-                self._relay_order[(job.job_id, dc)] = ordered_ids
-
         self._blocks_by_id: Dict[BlockId, Block] = {}
         # Block size per column id of the store's matrix, grown lazily by
         # _block_sizes as the matrix interns blocks.
@@ -1081,9 +982,8 @@ class Simulation:
         # copies compact out on the first cycle's gather). Skipped when
         # the strategy decides against partition-scoped shard mirrors
         # (BDSController with shards > 1): the mirrors build their own
-        # shard-scoped tables, O(pairs/shards) each, and a global O(pairs)
-        # build would be dead weight — only speculation-overlay cycles
-        # would miss it, on their already-scalar fallback path.
+        # shard-scoped tables, O(pairs/shards) each, speculated cycles
+        # included, so a global O(pairs) build would be dead weight.
         self._cand_table = None
         if not getattr(strategy, "uses_shard_mirrors", False):
             from repro.net.candidates import CandidateTable
@@ -1287,11 +1187,9 @@ class Simulation:
             if self.failures
             else frozenset(),
             pending=self._pending,
-            relay_pending=self._relay_pending,
             blocks_by_id=self._blocks_by_id,
             cache=self._cycle_cache,
             pending_order=self._pending_order,
-            relay_order=self._relay_order,
             candidates=self._cand_table,
         )
 
@@ -1496,11 +1394,9 @@ class Simulation:
                     partial_bytes=self._partial,
                     failed_links=failed_links,
                     pending=self._pending,
-                    relay_pending=self._relay_pending,
                     blocks_by_id=self._blocks_by_id,
                     cache=self._cycle_cache,
                     pending_order=self._pending_order,
-                    relay_order=self._relay_order,
                     candidates=self._cand_table,
                 )
                 decide_started = _time.perf_counter()
@@ -1978,18 +1874,12 @@ class Simulation:
             ]
         )
         dc_of = self.store.dc_of
-        relay_map = self._relay_pending
         pending_map = self._pending
         server_missing = self._server_missing
         jobs_by_id = self._jobs_by_id
-        has_relays = bool(relay_map)
         for job_id, block, _src, dst, when in events:
             dst_dc = dc_of(dst)
             bid = block.block_id
-            if has_relays:
-                relay_pending = relay_map.get((job_id, dst_dc))
-                if relay_pending is not None:
-                    relay_pending.discard(bid)
             pending = pending_map.get((job_id, dst_dc))
             if pending is None:
                 continue  # delivery to a relay DC: not completion-tracked

@@ -19,6 +19,10 @@ touching Python objects.
 Every *new* possession (seed or delivery) bumps ``epoch`` by one, and
 ``drop_server`` bumps it once per call (not once per dropped block — see
 the method docstring).
+
+:meth:`PossessionIndex.overlay` is the speculated delivery state of §5.1:
+a copy of the arrays with extra copies recorded, over the same ids, so
+the control plane decides on it through its one array path.
 """
 
 from __future__ import annotations
@@ -87,9 +91,13 @@ class PossessionMatrix:
     incrementally on every bit flip, so they always equal the popcount of
     the corresponding column (resp. the column restricted to the DC's
     rows); the equivalence tests assert this invariant directly.
+
+    ``base`` is the matrix whose id space this one uses: ``self`` for a
+    live matrix, the live matrix for an :meth:`overlay`.
     """
 
     __slots__ = (
+        "base",
         "server_names",
         "server_ids",
         "dc_names",
@@ -135,6 +143,24 @@ class PossessionMatrix:
         )
         self.block_gids: Dict[BlockId, int] = {}
         self.block_names: List[BlockId] = []
+        self.base: PossessionMatrix = self
+
+    def overlay(self) -> "PossessionMatrix":
+        """A copy of the possession state over this matrix's id space.
+
+        ``bits``, ``dup`` and ``dc_counts`` are copied; every interning
+        table is shared, so ids mean the same in both and ``base`` points
+        at the live matrix. Interning further blocks while the copy is in
+        use would outgrow its arrays, so an overlay lives for one decide.
+        """
+        new = PossessionMatrix.__new__(PossessionMatrix)
+        for name in PossessionMatrix.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.bits = self.bits.copy()
+        new._flat = new.bits.reshape(-1)
+        new.dup = self.dup.copy()
+        new.dc_counts = self.dc_counts.copy()
+        return new
 
     # -- interning ---------------------------------------------------------
 
@@ -371,16 +397,37 @@ class PossessionIndex:
             self._server_dc, block_capacity=block_capacity
         )
 
-    @property
-    def is_exact_matrix(self) -> bool:
-        """True when queries answer straight from a live PossessionMatrix.
+    def overlay(self, pairs: Iterable[Tuple[BlockId, str]]) -> "PossessionIndex":
+        """A read-only copy that also holds the ``(block, server)`` pairs.
 
-        Overlay stores (speculation) wrap an index and add phantom copies;
-        they advertise ``False`` so the vectorized scheduler/router know
-        the matrix alone is not the whole truth and fall back to the
-        facade queries.
+        The speculated delivery state of §5.1: the copy answers every
+        query as if the pairs had been delivered, through a
+        :meth:`PossessionMatrix.overlay` of this index's matrix (same ids,
+        copied bits), while this index is left untouched. The copy keeps
+        no delivery records; its epoch counts the new copies on top of
+        this index's. Pairs of blocks this index never interned are
+        skipped: nothing here can ask about them.
         """
-        return True
+        matrix = self.matrix
+        server_ids = matrix.server_ids
+        gid_map = matrix.block_gids
+        pairs = list(pairs)
+        sids = np.fromiter(
+            (server_ids[s] for _b, s in pairs), dtype=np.int64, count=len(pairs)
+        )
+        gids = np.fromiter(
+            (gid_map.get(b, -1) for b, _s in pairs),
+            dtype=np.int64,
+            count=len(pairs),
+        )
+        known = gids >= 0
+        new = PossessionIndex.__new__(PossessionIndex)
+        new._server_dc = self._server_dc
+        new.deliveries = []
+        new.matrix = matrix.overlay()
+        fresh = new.matrix.record_deliveries(sids[known], gids[known])
+        new.epoch = self.epoch + int(np.count_nonzero(fresh))
+        return new
 
     # -- updates --------------------------------------------------------------
 

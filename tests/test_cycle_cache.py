@@ -1,11 +1,12 @@
 """The per-cycle query cache: dedupe guarantees and invalidation rules.
 
-The scheduler and router together used to issue one rarity query and two
-eligible-source queries per pending (block, destination) pair per cycle.
-With the :class:`~repro.net.cycle_cache.CycleCache` attached, the store
-must be consulted at most once per distinct block id per cycle — that is
-the contract the counting-proxy tests pin down. The invalidation tests
-pin the epoch/failure validity keys that make stale answers impossible.
+The scheduler must consult the store's per-block queries at most once per
+distinct block id per cycle; its kernel reads rarity and holders straight
+from the possession matrix, so it issues none at all — that is the
+contract the counting-proxy tests pin down. The invalidation tests pin
+the epoch/failure validity keys of
+:class:`~repro.net.cycle_cache.CycleCache` that make stale answers
+impossible.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _sim(num_dcs: int = 4, blocks: int = 12) -> Simulation:
 class TestSchedulerQueryDedupe:
     def test_one_store_query_per_block_per_cycle(self):
         """Every block pends for 3 destinations, yet rarity and holders
-        hit the store at most once per block."""
+        never hit the store's per-block queries: the kernel gathers them
+        from the matrix."""
         sim = _sim()
         view = sim.snapshot_view()
         counter = CountingStore(sim.store)
@@ -73,11 +75,9 @@ class TestSchedulerQueryDedupe:
         selected = RarestFirstScheduler().select(view)
         # All (block, destination) pairs are pending and selectable.
         assert len(selected) == 12 * 3
-        assert counter.duplicate_count_calls
-        assert all(
-            n == 1 for n in counter.duplicate_count_calls.values()
-        ), counter.duplicate_count_calls
-        assert all(n <= 1 for n in counter.holders_calls.values())
+        assert all(s.duplicates == 1 for s in selected)
+        assert counter.duplicate_count_calls == {}
+        assert counter.holders_calls == {}
 
     def test_second_select_same_cycle_hits_cache_only(self):
         sim = _sim()
@@ -86,10 +86,13 @@ class TestSchedulerQueryDedupe:
         view.store = counter
 
         scheduler = RarestFirstScheduler()
-        scheduler.select(view)
-        first = dict(counter.duplicate_count_calls)
-        scheduler.select(view)
-        assert counter.duplicate_count_calls == first
+        first = scheduler.select(view)
+        # The second select reuses the first one's ScheduledBlock objects.
+        second = scheduler.select(view)
+        assert all(a is b for a, b in zip(first, second))
+        assert len(first) == len(second)
+        assert counter.duplicate_count_calls == {}
+        assert counter.holders_calls == {}
 
 
 class TestViewCachedQueries:
@@ -98,12 +101,11 @@ class TestViewCachedQueries:
         view = sim.snapshot_view()
         job = sim.jobs[0]
         block = job.blocks[0]
-        assert view.duplicate_count(block.block_id) == 1
+        assert len(view.eligible_sources(block.block_id)) == 1
         # Out-of-band possession change bumps the store epoch; the memo
-        # must not serve the stale count.
+        # must not serve the stale sources.
         dst = job.assigned_server("dc1", block.block_id)
         sim.store.seed(dst, [block])
-        assert view.duplicate_count(block.block_id) == 2
         assert len(view.eligible_sources(block.block_id)) == 2
 
     def test_failed_agent_set_changes_flush_sources(self):
@@ -144,10 +146,8 @@ class TestCycleCacheInvalidation:
         cache = CycleCache()
         cache.validate_sources(1, frozenset())
         cache.sources[("j", 0)] = ["s1"]
-        cache.rarity[("j", 0)] = 1
         cache.validate_sources(2, frozenset())
         assert cache.sources == {}
-        assert cache.rarity == {}
         assert cache.flushes == 1
 
     def test_sources_flush_on_failed_agents_change(self):

@@ -282,7 +282,9 @@ def _golden_scenario(relays: bool = False):
     return topo, jobs
 
 
-def _golden_run(variant: str) -> SimResult:
+def _golden_run(variant: str, shard_mode: str = "inprocess") -> SimResult:
+    """The golden scenario under ``variant``; ``shard_mode`` applies to
+    the sharded variants."""
     from repro.baselines.gingko import GingkoStrategy
     from repro.core.config import BDSConfig
     from repro.core.controller import BDSController
@@ -294,8 +296,7 @@ def _golden_run(variant: str) -> SimResult:
         "sharded-affinity": dict(
             shards=4, shard_partition="affinity", shard_stride=1
         ),
-        # Speculation overlays make each shard decide on a sub-view of
-        # the shared store rather than on its own mirror.
+        # Each shard's mirror decides on an overlay of its own index.
         "sharded-speculation": dict(
             shards=4,
             shard_partition="affinity",
@@ -319,21 +320,31 @@ def _golden_run(variant: str) -> SimResult:
     if variant == "gingko":
         strategy = GingkoStrategy(seed=SEED)
     else:
+        if "shards" in bds:
+            bds["shard_mode"] = shard_mode
         strategy = BDSController(BDSConfig(**bds))
-    return Simulation(
-        topology=topo,
-        jobs=jobs,
-        strategy=strategy,
-        config=SimConfig(**sim_cfg),
-        failures=failures,
-        seed=SEED,
-    ).run()
+    try:
+        return Simulation(
+            topology=topo,
+            jobs=jobs,
+            strategy=strategy,
+            config=SimConfig(**sim_cfg),
+            failures=failures,
+            seed=SEED,
+        ).run()
+    finally:
+        shutdown = getattr(strategy, "shutdown", None)
+        if shutdown is not None:
+            shutdown()
 
 
 #: Recorded before the array-native route-to-flow rewrite (DirectiveBatch),
 #: from the per-row source-pick loop and the per-block validation loop.
 #: ``sharded-speculation`` was recorded later, while shards could still
 #: run on the shared store instead of their own mirrors; both agreed.
+#: ``speculation`` and ``sharded-speculation`` were recorded while
+#: speculated cycles still ran the scalar scheduler and name-interned
+#: router rows, before speculation became a possession-matrix overlay.
 GOLDEN_FINGERPRINTS = {
     "uncapped-greedy": (
         "23ccbbb9faf36b180934905ad6c1632e"
@@ -386,5 +397,12 @@ class TestCommittedGoldenFingerprints:
     @pytest.mark.parametrize("variant", sorted(GOLDEN_FINGERPRINTS))
     def test_fingerprint_matches_committed(self, variant):
         result = _golden_run(variant)
+        assert result.all_complete
+        assert result.fingerprint() == GOLDEN_FINGERPRINTS[variant]
+
+    @pytest.mark.parametrize("variant", ["sharded-speculation"])
+    def test_process_mode_matches_committed(self, variant):
+        """Worker-process mirrors speculate too, to the same digest."""
+        result = _golden_run(variant, shard_mode="process")
         assert result.all_complete
         assert result.fingerprint() == GOLDEN_FINGERPRINTS[variant]

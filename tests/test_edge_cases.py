@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BDSController
 from repro.core.diffs import DecisionDiff
+from repro.core.scheduling import RarestFirstScheduler
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
 from repro.net.flow import Flow
@@ -156,7 +157,9 @@ class TestRelayJobEdges:
         job.bind(topo)
         sim = Simulation(topo, [job], BDSController(seed=0), SimConfig())
         view = sim.snapshot_view()
-        assert view.pending_relay_placements(job) == []
+        selections = RarestFirstScheduler().select(view)
+        assert selections
+        assert not any(s.is_relay for s in selections)
 
     def test_relay_placements_shrink_as_relay_fills(self):
         topo = Topology.full_mesh(
@@ -169,6 +172,11 @@ class TestRelayJobEdges:
         job.bind(topo)
         sim = Simulation(topo, [job], BDSController(seed=0), SimConfig())
         view = sim.snapshot_view()
-        assert len(view.pending_relay_placements(job)) == 2
+        scheduler = RarestFirstScheduler()
+
+        def relay_blocks():
+            return [s.block for s in scheduler.select(view) if s.is_relay]
+
+        assert relay_blocks() == job.blocks
         view.store.seed("dc2-s0", [job.blocks[0]])
-        assert len(view.pending_relay_placements(job)) == 1
+        assert relay_blocks() == [job.blocks[1]]

@@ -40,9 +40,15 @@ class TestRelayScheduling:
         job.bind(topo)
         sim = Simulation(topo, [job], BDSController(seed=0), SimConfig())
         view = sim.snapshot_view()
-        placements = view.pending_relay_placements(job)
+        placements = [
+            s for s in RarestFirstScheduler().select(view) if s.is_relay
+        ]
         assert len(placements) == job.num_blocks
-        assert all(dc == "B" for _b, dc, _s in placements)
+        assert all(s.dst_dc == "B" for s in placements)
+        assert all(
+            s.dst_server == job.assigned_server("B", s.block.block_id)
+            for s in placements
+        )
 
     def test_relay_selections_sorted_last(self):
         topo = relay_topology()

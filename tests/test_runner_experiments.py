@@ -18,6 +18,7 @@ from repro.analysis.runner import (
     run_simulation,
 )
 from repro.baselines import GingkoStrategy
+from repro.core.config import BDSConfig
 from repro.core.formulation import StandardLPRouter
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -38,6 +39,16 @@ class TestMakeStrategy:
         assert make_strategy("bds-fptas").router.backend == "fptas"
         assert make_strategy("bds-lp").router.backend == "lp"
         assert isinstance(make_strategy("bds-standard-lp").router, StandardLPRouter)
+
+    @pytest.mark.parametrize("name,backend", [("bds-fptas", "fptas"), ("bds-lp", "lp")])
+    def test_backend_kept_with_config(self, name, backend):
+        config = BDSConfig(shards=2, shard_partition="affinity")
+        strategy = make_strategy(name, config=config)
+        assert strategy.config.routing_backend == backend
+        assert strategy.router.backend == backend
+        assert strategy.config.shards == 2
+        assert strategy.config.shard_partition == "affinity"
+        assert config.routing_backend == "greedy"  # the caller's copy
 
     def test_gingko_is_strategy(self):
         assert isinstance(make_strategy("gingko", seed=1), GingkoStrategy)

@@ -1,32 +1,201 @@
 """Equivalence suite for the array-native control plane.
 
-The vectorized rarest-first kernel and the batched router build must
-each be *bit-identical* to the scalar paths that still run on speculation
-overlays: same selections in the same order, same directives. The bitset
-possession matrix must give the same answer to every store query, and
-follow the same epoch trajectory, as :class:`DictPossessionIndex` — a
-compact dict-of-sets reference model kept here as the oracle. These
-tests pin that contract over randomized topologies, jobs with priorities
-and relays, failures, and selection caps.
+The control plane has one decide path: the vectorized rarest-first kernel
+and the router's matrix-id row build, over the live possession matrix or
+a speculation overlay of it. Each is checked against a reference kept
+here as the oracle:
+
+* :func:`scalar_rarest_first` — per-candidate store queries and one tuple
+  sort — for the kernel: same selections in the same order;
+* :func:`name_interned_rows` — rows interned by name from
+  ``view.eligible_sources`` — for the router's row build: same
+  directives;
+* :class:`SpeculatedStoreOracle` — the real store plus speculated copies
+  as plain sets — for :meth:`PossessionIndex.overlay`'s answers;
+* :class:`DictPossessionIndex` — a compact dict-of-sets model — for the
+  bitset possession matrix's query answers and epoch trajectory.
+
+These tests pin that contract over randomized topologies, jobs with
+priorities and relays, failures, and selection caps.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Dict, List
 
+import numpy as np
 import pytest
 
 from repro.analysis.runner import make_strategy
+from repro.core import routing
+from repro.core.decisions import ScheduledBlock
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.cycle_cache import CycleCache
+from repro.core.speculation import (
+    DeliverySpeculator,
+    SpeculatedDelivery,
+    SpeculatedView,
+)
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, Simulation
+from repro.net.simulator import IdSpace, SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import DeliveryRecord, PossessionIndex
 from repro.utils.units import MB, MBps
+
+
+def scalar_rarest_first(view, max_blocks_per_cycle=0, use_relays=True):
+    """Reference rarest-first selection from per-candidate store queries.
+
+    Candidates in enumeration order (per job: pending deliveries, then
+    relay placements while the relay DC holds no copy), minus failed
+    destinations and blocks with no healthy holder, sorted by
+    ``(is_relay, -priority, duplicates, block index)`` with ties in
+    enumeration order.
+    """
+    store = view.store
+    failed = view.failed_agents
+    keyed = []
+    for job in view.jobs:
+        pending = [(b, dc, s, False) for b, dc, s in view.pending_deliveries(job)]
+        if use_relays:
+            for dc in job.relay_dcs:
+                for block in job.blocks:
+                    if not store.dc_has_block(dc, block.block_id):
+                        server = job.assigned_server(dc, block.block_id)
+                        pending.append((block, dc, server, True))
+        for block, dc, server, is_relay in pending:
+            if server in failed:
+                continue
+            duplicates = store.duplicate_count(block.block_id)
+            if not any(s not in failed for s in store.holders(block.block_id)):
+                continue
+            key = (is_relay, -job.priority, duplicates, block.index, len(keyed))
+            keyed.append(
+                (
+                    key,
+                    ScheduledBlock(
+                        job_id=job.job_id,
+                        block=block,
+                        dst_dc=dc,
+                        dst_server=server,
+                        duplicates=duplicates,
+                        is_relay=is_relay,
+                    ),
+                )
+            )
+    keyed.sort(key=lambda item: item[0])
+    selected = [entry for _key, entry in keyed]
+    if max_blocks_per_cycle:
+        selected = selected[:max_blocks_per_cycle]
+    return selected
+
+
+def name_interned_rows(view, selections, _batch, _sizes):
+    """Reference for ``routing._selection_rows``: rows interned by name.
+
+    Ignores the scheduler's batch: servers are interned in sorted-name
+    order (the matrix's order) into a fresh :class:`IdSpace`, blocks on
+    first sight, and each distinct block's holders come from
+    ``view.eligible_sources``, laid out DC-major.
+    """
+    servers = view.topology.servers
+    space = IdSpace(sorted(servers))
+    server_ids = space.server_ids
+    dc_names = sorted({servers[name].dc for name in space.server_names})
+    dc_ids = {dc: i for i, dc in enumerate(dc_names)}
+    server_dc = [dc_ids[servers[name].dc] for name in space.server_names]
+    slot_of: Dict[str, int] = {}
+    holders_of: Dict[int, List[int]] = {}
+    pair_row: List[int] = []
+    pair_src: List[int] = []
+    for i, entry in enumerate(selections):
+        slot_of.setdefault(entry.job_id, len(slot_of))
+        gid = space.intern(entry.block.block_id)
+        holders = holders_of.get(gid)
+        if holders is None:
+            holders = holders_of[gid] = sorted(
+                (server_ids[s] for s in view.eligible_sources(entry.block.block_id)),
+                key=lambda s: (server_dc[s], s),
+            )
+        pair_row.extend([i] * len(holders))
+        pair_src.extend(holders)
+
+    def column(values, dtype=np.int64):
+        return np.array(list(values), dtype=dtype)
+
+    gids = column(space.block_gids[e.block.block_id] for e in selections)
+    dst = column(server_ids[e.dst_server] for e in selections)
+    reach, paths = view._cache.reach_table(
+        view.topology.epoch, view.failed_links, space.server_names
+    )
+    return routing._Rows(
+        space=space,
+        job_ids=list(slot_of),
+        server_dc=column(server_dc),
+        num_dcs=len(dc_names),
+        slot=column(slot_of[e.job_id] for e in selections),
+        gids=gids,
+        index=column(e.block.index for e in selections),
+        dst=dst,
+        dst_dc=column(dc_ids[e.dst_dc] for e in selections),
+        sizes=column((e.block.size for e in selections), np.float64),
+        buffered=view.received_bytes_many(space, gids, dst),
+        pair_row=column(pair_row),
+        pair_src=column(pair_src),
+        reach=reach,
+        paths=paths,
+    )
+
+
+def oracle_route(monkeypatch, router, view, selections):
+    """``router.route`` with its row build swapped for the oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(routing, "_selection_rows", name_interned_rows)
+        directives, _ = router.route(view, selections)
+    return directives
+
+
+class SpeculatedStoreOracle:
+    """The real store plus speculated copies, as plain sets.
+
+    Answers ``has``/``holders``/``duplicate_count``/``dc_has_block`` the
+    way a speculated delivery state must: a pair is held if the real
+    store holds it or it was speculated. Every other query goes to the
+    real store.
+    """
+
+    def __init__(self, store, extra):
+        self._store = store
+        self._extra_by_server = {}
+        self._extra_holders = {}
+        for delivery in extra:
+            self._extra_by_server.setdefault(delivery.dst_server, set()).add(
+                delivery.block_id
+            )
+            self._extra_holders.setdefault(delivery.block_id, set()).add(
+                delivery.dst_server
+            )
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def has(self, server_id, block_id):
+        if block_id in self._extra_by_server.get(server_id, ()):
+            return True
+        return self._store.has(server_id, block_id)
+
+    def holders(self, block_id):
+        return set(self._store.holders(block_id)) | self._extra_holders.get(
+            block_id, set()
+        )
+
+    def duplicate_count(self, block_id):
+        return len(self.holders(block_id))
+
+    def dc_has_block(self, dc, block_id):
+        return any(self._store.dc_of(s) == dc for s in self.holders(block_id))
 
 
 class DictPossessionIndex:
@@ -180,8 +349,8 @@ def _midrun_view(seed: int, cycles: int = 2):
 
 
 class TestVectorizedSelectionEquivalence:
-    """vectorized ≡ cached scalar on the simulator's warm cache ≡ cached
-    scalar on a fresh cache: content AND order."""
+    """kernel on the simulator's table ≡ kernel on a fresh table ≡ the
+    scalar oracle: content AND order."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [0, 7])
@@ -190,20 +359,14 @@ class TestVectorizedSelectionEquivalence:
         scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
 
         vectorized = scheduler.select(view)
-        # The kernel must actually have run (its integer companion is the
-        # witness); otherwise this test silently compares scalar to scalar.
         assert scheduler.last_batch is not None
         assert len(scheduler.last_batch.gids) == len(vectorized)
 
-        view._candidates = None  # hide the table -> cached scalar path
-        cached = scheduler.select(view)
-        assert scheduler.last_batch is None
+        view._candidates = None  # the scheduler builds a fresh table
+        fresh = scheduler.select(view)
 
-        view._cache = CycleCache()  # cold memos: every query hits the store
-        cold = scheduler.select(view)
-
-        assert vectorized == cached  # list equality: content AND order
-        assert vectorized == cold
+        assert vectorized == fresh  # list equality: content AND order
+        assert vectorized == scalar_rarest_first(view, cap)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
@@ -211,8 +374,7 @@ class TestVectorizedSelectionEquivalence:
         scheduler = RarestFirstScheduler(use_relays=False)
         vectorized = scheduler.select(view)
         assert scheduler.last_batch is not None
-        view._candidates = None
-        assert vectorized == scheduler.select(view)
+        assert vectorized == scalar_rarest_first(view, use_relays=False)
 
     def test_repeated_select_is_stable(self):
         # The kernel caches ScheduledBlocks and compacts candidate rows;
@@ -225,10 +387,10 @@ class TestVectorizedSelectionEquivalence:
 
 
 class TestBatchedRouterEquivalence:
-    """Batched (interned-id) group build ≡ the scalar build."""
+    """Matrix-id row build ≡ the name-interned oracle."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_directives_identical(self, seed):
+    def test_directives_identical(self, seed, monkeypatch):
         view = _midrun_view(seed)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
@@ -237,21 +399,23 @@ class TestBatchedRouterEquivalence:
 
         router = BDSRouter()
         batched, _ = router.route(view, selections, batch=batch)
-        scalar, _ = BDSRouter().route(view, selections, batch=None)
-        assert batched == scalar
+        unbatched, _ = BDSRouter().route(view, selections)
+        oracle = oracle_route(monkeypatch, BDSRouter(), view, selections)
+        assert batched == unbatched
+        assert batched == oracle
 
     @pytest.mark.parametrize("merge", [True, False])
-    def test_merge_ablation_identical(self, merge):
+    def test_merge_ablation_identical(self, merge, monkeypatch):
         view = _midrun_view(4)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
         batch = scheduler.last_batch
         router = BDSRouter(merge_blocks=merge)
         batched, _ = router.route(view, selections, batch=batch)
-        scalar, _ = BDSRouter(merge_blocks=merge).route(
-            view, selections, batch=None
+        oracle = oracle_route(
+            monkeypatch, BDSRouter(merge_blocks=merge), view, selections
         )
-        assert batched == scalar
+        assert batched == oracle
 
 
 def _twin_indices(topo: Topology):
@@ -400,29 +564,106 @@ class TestEpochSemantics:
         assert idx.blocks_on(src) == frozenset()
 
 
-class TestSpeculationFallback:
-    """Speculation overlays must opt out of the vectorized fast paths."""
+def _speculated(view, seed: int):
+    """Deliveries to speculate on a mid-run view: the speculator's picks
+    from one routed cycle, plus random pending pairs — enough to kill
+    whole candidate groups — and a relay-DC copy when a job has one."""
+    sizes = {b.block_id: b.size for job in view.jobs for b in job.blocks}
+    scheduler = RarestFirstScheduler()
+    selections = scheduler.select(view)
+    directives, _ = BDSRouter().route(
+        view, selections, batch=scheduler.last_batch
+    )
+    out = DeliverySpeculator(horizon_seconds=3.0).speculate(
+        view, directives, sizes
+    )
+    rng = random.Random(seed)
+    for job in view.jobs:
+        pending = view.pending_deliveries(job)
+        for block, _dc, server in rng.sample(pending, (len(pending) * 2) // 3):
+            out.append(SpeculatedDelivery(block.block_id, server, ""))
+        for dc in job.relay_dcs:
+            block = rng.choice(job.blocks)
+            server = job.assigned_server(dc, block.block_id)
+            out.append(SpeculatedDelivery(block.block_id, server, ""))
+    return out
 
-    def test_speculated_store_is_not_exact(self):
+
+class TestSpeculationOverlay:
+    """Speculation views decide through the one vectorized path."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlay_matches_oracle_store(self, seed):
+        view = _midrun_view(seed)
+        speculated = _speculated(view, seed)
+        assert speculated
+        overlay = SpeculatedView(view, speculated).store
+        oracle = SpeculatedStoreOracle(view.store, speculated)
+        dcs = sorted({s.dc for s in view.topology.servers.values()})
+        for job in view.jobs:
+            for block in job.blocks:
+                bid = block.block_id
+                assert set(overlay.holders(bid)) == oracle.holders(bid)
+                assert overlay.duplicate_count(bid) == oracle.duplicate_count(bid)
+                for dc in dcs:
+                    assert overlay.dc_has_block(dc, bid) == oracle.dc_has_block(
+                        dc, bid
+                    )
+                for server in view.topology.servers:
+                    assert overlay.has(server, bid) == oracle.has(server, bid)
+
+    def test_overlay_leaves_base_untouched(self):
         view = _midrun_view(0)
-        sizes = {
-            b.block_id: b.size for job in view.jobs for b in job.blocks
-        }
-        speculator = DeliverySpeculator(horizon_seconds=3.0)
-        scheduler = RarestFirstScheduler()
-        selections = scheduler.select(view)
-        batch = scheduler.last_batch
-        assert batch is not None
-        directives, _ = BDSRouter().route(view, selections, batch=batch)
-        speculated = speculator.speculate(view, directives, sizes)
-        if not speculated:
-            pytest.skip("no speculatable directives in this scenario")
+        before = view.store.matrix.bits.copy()
+        epoch = view.store.epoch
+        logged = len(view.store.deliveries)
+        overlay = SpeculatedView(view, _speculated(view, 0))
+        assert overlay.store.matrix.base is view.store.matrix
+        assert overlay.store.epoch > epoch
+        assert np.array_equal(view.store.matrix.bits, before)
+        assert view.store.epoch == epoch
+        assert len(view.store.deliveries) == logged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlay_engages_kernel(self, seed, monkeypatch):
+        view = _midrun_view(seed)
+        speculated = _speculated(view, seed)
         overlay = SpeculatedView(view, speculated)
-        # The overlay's store shadows the matrix with phantom copies: it
-        # must advertise inexactness and drop the candidate table, so the
-        # scheduler takes the scalar path (whose store queries see the
-        # phantoms) instead of reading the un-speculated matrix.
-        assert overlay.store.is_exact_matrix is False
-        assert overlay._candidates is None
-        scheduler.select(overlay)
-        assert scheduler.last_batch is None
+        assert overlay._candidates is view._candidates
+        scheduler = RarestFirstScheduler()
+        selections = scheduler.select(overlay)
+        assert scheduler.last_batch is not None
+        assert len(scheduler.last_batch.gids) == len(selections)
+
+        # The same decide over the old semantics: the oracle store
+        # answering every query, the scalar selection, the
+        # name-interned row build.
+        reference = SpeculatedView(view, speculated)
+        reference.store = SpeculatedStoreOracle(view.store, speculated)
+        assert selections == scalar_rarest_first(reference)
+        directives, _ = BDSRouter().route(
+            overlay, selections, batch=scheduler.last_batch
+        )
+        # Tagged with the live matrix: validation takes it as is.
+        assert directives.space is view.store.matrix
+        assert directives == oracle_route(
+            monkeypatch, BDSRouter(), reference, selections
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlay_never_compacts(self, seed):
+        view = _midrun_view(seed)
+        scheduler = RarestFirstScheduler()
+        scheduler.select(view)  # real compaction, if any, happens here
+        groups = [
+            g for gs in view._candidates.groups_by_job.values() for g in gs
+        ]
+        alive = [g.alive.copy() for g in groups]
+
+        scheduler.select(SpeculatedView(view, _speculated(view, seed)))
+        assert all(
+            np.array_equal(g.alive, a) for g, a in zip(groups, alive)
+        )
+        real = scheduler.select(view)
+        view._candidates = None
+        assert real == RarestFirstScheduler().select(view)

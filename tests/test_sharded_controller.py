@@ -18,11 +18,19 @@ Contracts under test (ISSUE: sharded multi-controller control plane):
 
 from __future__ import annotations
 
+import copy
+import logging
+import time
+
 import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
-from repro.core.shardexec import LocalShardRunner
+from repro.core.routing import BDSRouter
+from repro.core.scheduling import RarestFirstScheduler
+from repro.core.shardexec import LocalShardRunner, ShardExecutor, ShardResult
+from repro.core.speculation import SpeculatedDelivery, SpeculatedView
+from repro.net.cycle_cache import CycleCache
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -159,6 +167,27 @@ class TestProcessMode:
             _run(3, stride=2, mode="process")
         ) == _fingerprint(_run(3, stride=2, mode="inprocess"))
 
+    def test_broken_pool_falls_back_with_warning(self, monkeypatch, caplog):
+        """A failing worker pool is logged, the run continues in-process
+        with identical results, and the caller's config is untouched."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker pool down")
+
+        monkeypatch.setattr(ShardExecutor, "decide", broken)
+        config = BDSConfig(shards=3, shard_mode="process", speculation_horizon=1.0)
+        with caplog.at_level(logging.WARNING, logger="repro.core.controller"):
+            fallen_back = _run(3, config=config)
+        assert config.shard_mode == "process"
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "worker pool down" in warnings[0].getMessage()
+        inprocess = _run(
+            3, config=BDSConfig(shards=3, speculation_horizon=1.0)
+        )
+        assert fallen_back.all_complete
+        assert _fingerprint(fallen_back) == _fingerprint(inprocess)
+
 
 class TestReconciliation:
     def test_wan_sums_within_budget(self):
@@ -208,26 +237,92 @@ class TestReconciliation:
             assert decision.reconcile_runtime >= 0.0
 
 
-def _shared_store_only(monkeypatch):
-    """Route every sharded decide through the shared-store sub-views.
+def _shared_store_decide(pipes):
+    """Reference for ``LocalShardRunner.decide``: no mirrors.
 
-    Production takes that path only for speculation overlays; declining
-    the in-process mirrors forces it on exact views too, so the two
-    decide paths can be compared on the same cycles.
+    Each due shard schedules and routes on a sub-view of the shared store
+    holding only its own jobs — a speculation view of the shard's
+    speculated deliveries when it has any — with its own scheduler and
+    router (``pipes`` keeps them across cycles) and a fresh cycle cache.
     """
-    monkeypatch.setattr(LocalShardRunner, "decide", lambda *args: None)
+
+    def decide(runner, view, buckets, due, speculated):
+        results = []
+        for s in due:
+            if s not in pipes:
+                cfg = runner.config
+                pipes[s] = (
+                    RarestFirstScheduler(
+                        max_blocks_per_cycle=cfg.max_blocks_per_cycle,
+                        use_relays=cfg.use_relays,
+                    ),
+                    BDSRouter(
+                        backend=cfg.routing_backend,
+                        epsilon=cfg.epsilon,
+                        max_sources_per_group=cfg.max_sources_per_group,
+                        merge_blocks=cfg.merge_blocks,
+                    ),
+                )
+            scheduler, router = pipes[s]
+            sub = copy.copy(view)
+            sub.jobs = list(buckets[s])
+            sub._cache = CycleCache()
+            if speculated[s]:
+                sub = SpeculatedView(
+                    sub,
+                    [SpeculatedDelivery(b, dst, "") for b, dst in speculated[s]],
+                )
+            started = time.perf_counter()
+            selections = scheduler.select(sub)
+            dirs, diag = router.route(sub, selections, batch=scheduler.last_batch)
+            results.append(
+                ShardResult(
+                    directives=dirs,
+                    scheduled_blocks=len(selections),
+                    num_commodities=diag.num_commodities,
+                    objective=diag.objective,
+                    schedule_runtime=scheduler.last_runtime,
+                    routing_runtime=diag.runtime,
+                    iterations=diag.iterations,
+                    phases=diag.phases,
+                    warm_start=diag.warm_start,
+                    reuse_horizon=diag.reuse_horizon,
+                    wall=time.perf_counter() - started,
+                )
+            )
+        return results
+
+    return decide
+
+
+def _shared_store_only(monkeypatch):
+    """Route every sharded decide through the shared-store reference."""
+    monkeypatch.setattr(LocalShardRunner, "decide", _shared_store_decide({}))
 
 
 class TestShardLocalState:
-    """Partition-scoped mirrors (the default sharded decide path)."""
+    """Partition-scoped mirrors (the sharded decide path)."""
 
     @pytest.mark.parametrize("shards,stride", [(2, 1), (3, 2), (4, 1)])
     def test_mirror_matches_shared_store(self, shards, stride, monkeypatch):
-        """Shared-store sub-views (the speculation-overlay decide path)
-        and the mirrors must decide bit-for-bit alike."""
+        """The shared-store reference and the mirrors must decide
+        bit-for-bit alike."""
         mirror = _run(shards, stride=stride)
         _shared_store_only(monkeypatch)
         shared = _run(shards, stride=stride)
+        assert mirror.all_complete
+        assert _fingerprint(mirror) == _fingerprint(shared)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_speculating_mirror_matches_shared_store(self, shards, monkeypatch):
+        """With speculation on, each mirror's overlay must decide like a
+        speculation view of the shared store."""
+        config = BDSConfig(
+            shards=shards, shard_partition="affinity", speculation_horizon=1.0
+        )
+        mirror = _run(shards, config=config)
+        _shared_store_only(monkeypatch)
+        shared = _run(shards, config=config)
         assert mirror.all_complete
         assert _fingerprint(mirror) == _fingerprint(shared)
 
@@ -240,11 +335,14 @@ class TestShardLocalState:
         assert any(s.shard_payload_bytes > 0 for s in fresh)
         assert all(s.shard_stride == 1 for s in fresh)
 
-    def test_no_state_telemetry_on_shared_store_path(self, monkeypatch):
-        _shared_store_only(monkeypatch)
-        result = _run(2)
-        assert all(s.shard_state_bytes == 0 for s in result.cycle_stats)
-        assert all(s.shard_candidate_bytes == 0 for s in result.cycle_stats)
+    def test_state_telemetry_recorded_with_speculation(self):
+        """Speculated cycles decide on the mirrors too, so every fresh
+        cycle reports the mirrors' state."""
+        result = _run(2, config=BDSConfig(shards=2, speculation_horizon=1.0))
+        fresh = [s for s in result.cycle_stats if s.shard_count]
+        assert fresh
+        assert all(s.shard_state_bytes > 0 for s in fresh)
+        assert all(s.shard_candidate_bytes > 0 for s in fresh)
 
     def test_per_shard_state_scales_down(self):
         """At a scale past the matrix's 1024-column capacity floor, each

@@ -596,6 +596,14 @@ class TestDirectiveBatch:
         kept = batch.keep_blocks(keep)
         assert list(kept) == [_d("a", "b", 0, rate=2.0), _d("a", "c", 3, 5, rate=0.5)]
 
+    def test_take_keeps_row_order(self):
+        batch = self._batch()
+        assert batch.take([0, 1, 2]) is batch
+        swapped = batch.take([1, 0, 2])
+        assert list(swapped) == [batch[1], batch[0], batch[2]]
+        assert swapped.src.tolist() == [batch.src[1], batch.src[0], batch.src[2]]
+        assert list(batch.take([1, 0])[:1]) == [batch[1]]
+
     def test_pickles_as_directives(self):
         import pickle
 
