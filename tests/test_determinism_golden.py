@@ -296,6 +296,11 @@ def _golden_run(variant: str, shard_mode: str = "inprocess") -> SimResult:
         "sharded-affinity": dict(
             shards=4, shard_partition="affinity", shard_stride=1
         ),
+        # The controller is down for cycles 1-3: every shard's work
+        # falls back to Gingko, then the mirrors catch up on the log.
+        "sharded-outage": dict(
+            shards=4, shard_partition="affinity", shard_stride=1
+        ),
         # Each shard's mirror decides on an overlay of its own index.
         "sharded-speculation": dict(
             shards=4,
@@ -317,12 +322,20 @@ def _golden_run(variant: str, shard_mode: str = "inprocess") -> SimResult:
                 FailureEvent(cycle=7, kind="link_recover", target=("dc0", "dc2")),
             ]
         )
+    elif variant == "sharded-outage":
+        failures = FailureSchedule(
+            [
+                FailureEvent(cycle=1, kind="controller_fail"),
+                FailureEvent(cycle=4, kind="controller_recover"),
+            ]
+        )
     if variant == "gingko":
         strategy = GingkoStrategy(seed=SEED)
     else:
         if "shards" in bds:
             bds["shard_mode"] = shard_mode
-        strategy = BDSController(BDSConfig(**bds))
+        # Seeded so the Gingko fallback of an outage run is reproducible.
+        strategy = BDSController(BDSConfig(**bds), seed=SEED)
     try:
         return Simulation(
             topology=topo,
@@ -345,6 +358,8 @@ def _golden_run(variant: str, shard_mode: str = "inprocess") -> SimResult:
 #: ``speculation`` and ``sharded-speculation`` were recorded while
 #: speculated cycles still ran the scalar scheduler and name-interned
 #: router rows, before speculation became a possession-matrix overlay.
+#: ``sharded-outage`` was recorded while the simulator still kept its
+#: pending maps and skipped its candidate table in sharded runs.
 GOLDEN_FINGERPRINTS = {
     "uncapped-greedy": (
         "23ccbbb9faf36b180934905ad6c1632e"
@@ -381,6 +396,10 @@ GOLDEN_FINGERPRINTS = {
     "speculation": (
         "cf3c00fb0c41cb28fbfed8549248052a"
         "b8d8d932426a857da44abc0363d3183d"
+    ),
+    "sharded-outage": (
+        "2277c3ce54e0f30f5d3ac63ce4f566ca"
+        "edd77f06df113dd308ea95a1506e265e"
     ),
     "sharded-speculation": (
         "85d0f8fec72b2a6c1eae9f0022f0fd49"
