@@ -206,10 +206,11 @@ def timed_cycles(
     wall = _time.perf_counter() - started
     walls = [s.time_decide for s in result.cycle_stats]
     reconcile = [s.time_reconcile for s in result.cycle_stats]
-    # Single-controller candidate-table bytes (the shards=1 baseline the
-    # per-shard memory floor divides by); sharded runs skip the global
-    # build, so this is 0 there and the mirror telemetry carries instead.
-    table = getattr(sim, "_cand_table", None)
+    # The simulator's candidate-table bytes. Every run builds it (it
+    # backs completion and pending_deliveries); the shards=1 arm's value
+    # is the baseline the per-shard memory floor divides by, and sharded
+    # arms' per-shard tables come from the mirror telemetry.
+    table = sim._cand_table
     return {
         "shards": shards,
         "stride": stride,
@@ -233,9 +234,7 @@ def timed_cycles(
             (s.shard_stride for s in result.cycle_stats), default=0
         ),
         "store_state_bytes": result.store.state_bytes(),
-        "base_candidate_bytes": (
-            table.state_bytes() if table is not None else 0
-        ),
+        "base_candidate_bytes": table.state_bytes(),
         "peak_shard_state_bytes": max(
             (s.shard_state_bytes for s in result.cycle_stats), default=0
         ),

@@ -211,17 +211,6 @@ class BDSController(OverlayStrategy):
             self.config.shard_partition,
         )
 
-    @property
-    def uses_shard_mirrors(self) -> bool:
-        """True when shards decide against partition-scoped mirrors.
-
-        The :class:`~repro.net.simulator.Simulation` probes this to skip
-        building the global candidate table — the mirrors build their
-        own shard-scoped tables, so the global O(pairs) build would be
-        dead weight.
-        """
-        return self.config.shards > 1
-
     def _assign_shard(self, job: MulticastJob) -> int:
         """The job's shard, assigning it on first sight (sticky after)."""
         shard = self._shard_assign.get(job.job_id)

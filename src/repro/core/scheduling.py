@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.decisions import ScheduledBlock, SelectionBatch
-from repro.net.candidates import CandidateTable
 from repro.net.simulator import ClusterView
 from repro.overlay.blocks import Block
 
@@ -91,11 +90,9 @@ class RarestFirstScheduler:
         space, §5.3). Relay placements sort after all real deliveries.
         """
         started = _time.perf_counter()
-        matrix = view.store.matrix
-        table = view._candidates
-        if table is None or table.matrix is not matrix.base:
-            table = view._candidates = CandidateTable((), matrix.base)
-        return self._select_vectorized(view, table, matrix, started)
+        return self._select_vectorized(
+            view, view.candidate_table(), view.store.matrix, started
+        )
 
     # -- vectorized kernel -------------------------------------------------
 
@@ -121,7 +118,6 @@ class RarestFirstScheduler:
         compacts: its extra copies are guesses, and the rows they kill
         must stay alive for the next real cycle.
         """
-        groups_by_job = table.groups_by_job
         failed = view.failed_agents
         failed_sids: List[int] = []
         failed_lut = None
@@ -160,12 +156,8 @@ class RarestFirstScheduler:
         group_refs: List[Tuple] = []  # (job, group, job_slot)
 
         for job_slot, job in enumerate(view.jobs):
-            groups = groups_by_job.get(job.job_id)
-            if groups is None:
-                table.ensure_job(job)
-                groups = groups_by_job[job.job_id]
             neg_priority = -getattr(job, "priority", 0)
-            for group in groups:
+            for group in table.groups(job):
                 if group.is_relay and not use_relays:
                     continue
                 rows = group.alive

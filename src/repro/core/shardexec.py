@@ -251,10 +251,9 @@ class ShardMirror:
             for dst, gids in by_server.items():
                 store.seed_gids(dst, np.asarray(gids, dtype=np.int64))
 
-    def decide(self, payload: ShardPayload) -> ShardResult:
-        """One schedule+route over the mirror for this payload's cycle."""
-        import time as _time
-
+    def view(self, payload: ShardPayload) -> "ClusterView":
+        """The mirror's view of this payload's cycle (an overlay of the
+        mirror's index when the payload carries speculated deliveries)."""
         from repro.net.cycle_cache import CycleCache
         from repro.net.simulator import ClusterView
 
@@ -263,7 +262,7 @@ class ShardMirror:
             # The overlay's memos must not outlive it: fresh cache.
             store = store.overlay(payload.speculated)
             cache = CycleCache()
-        view = ClusterView(
+        return ClusterView(
             topology=self.topology,
             store=store,
             jobs=[self.jobs_by_id[jid] for jid in payload.active_job_ids],
@@ -278,6 +277,12 @@ class ShardMirror:
             cache=cache,
             candidates=self.candidates,
         )
+
+    def decide(self, payload: ShardPayload) -> ShardResult:
+        """One schedule+route over the mirror for this payload's cycle."""
+        import time as _time
+
+        view = self.view(payload)
         started = _time.perf_counter()
         selections = self.scheduler.select(view)
         directives, diag = self.router.route(

@@ -98,8 +98,8 @@ class SpeculatedView(ClusterView):
     overlay's possession matrix. The view keeps the base view's candidate
     table (the overlay shares its id space) and gets a fresh
     :class:`CycleCache`: the base cache's memos answer for the real store.
-    The simulator's pending maps track the real store only, so the view
-    does not carry them; ``pending_deliveries`` scans instead.
+    ``pending_deliveries`` gathers the same table against the overlay, so
+    speculated copies read as delivered.
     """
 
     def __init__(
@@ -119,5 +119,5 @@ class SpeculatedView(ClusterView):
             controller_available=base.controller_available,
             partial_bytes=base._partial,
             failed_links=base.failed_links,
-            candidates=base._candidates,
+            candidates=base.candidate_table(),
         )

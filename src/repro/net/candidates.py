@@ -5,7 +5,10 @@ every (block, destination DC) pair of every job is a potential delivery,
 and every (block, relay DC) pair a potential relay placement. What varies
 per cycle is only *which* of those candidates are still pending and which
 pass the health filters — both answerable straight from the possession
-matrix with array gathers.
+matrix with array gathers. The same gathers answer which assigned
+deliveries are still outstanding, so the table is the simulator's one
+record of them: :meth:`~repro.net.simulator.ClusterView.pending_deliveries`
+reads it, and the simulator's completion counters start from it.
 
 :class:`CandidateTable` materializes that decision space once per
 simulation as parallel int arrays (block column id, block index, assigned
@@ -20,8 +23,8 @@ than half of a group's alive rows turn out possession-dead during a
 cycle's gather of the table's own matrix, the dead rows are dropped for
 good. Possession is monotone while a simulation runs (the simulator never
 drops copies mid-run; disk-loss enters as *agent* failure), so a dead
-candidate can never come back — the same never-re-add reasoning the
-simulator's pending maps rely on. A gather of a speculation overlay
+candidate can never come back — the same monotonicity the simulator's
+completion counters rely on. A gather of a speculation overlay
 (:meth:`~repro.overlay.store.PossessionMatrix.overlay`) never compacts:
 its extra copies are not monotone truth. Steady-state per-cycle cost
 therefore tracks remaining work, not total state size.
@@ -90,10 +93,10 @@ class CandidateTable:
     into the matrix by then; :meth:`PossessionMatrix.intern` is still
     called defensively so the table never depends on seeding order).
     Owned by the :class:`~repro.net.simulator.Simulation` and shared by
-    every cycle's view — including partition clones, whose extra failed
-    agents are a per-cycle mask, not a table property, and speculation
-    views, whose overlay matrix shares this table's id space (``matrix``
-    is the overlay's ``base``).
+    every cycle's view (``ClusterView.candidate_table``) — including
+    partition clones, whose extra failed agents are a per-cycle mask, not
+    a table property, and speculation views, whose overlay matrix shares
+    this table's id space (``matrix`` is the overlay's ``base``).
 
     The table also grows incrementally: a sharded controller's
     partition-scoped mirrors start empty and :meth:`ensure_job` each job
@@ -158,6 +161,14 @@ class CandidateTable:
                 )
             )
         self.groups_by_job[job.job_id] = groups
+
+    def groups(self, job: MulticastJob) -> List[CandidateGroup]:
+        """The job's candidate groups, building them on first use."""
+        groups = self.groups_by_job.get(job.job_id)
+        if groups is None:
+            self.ensure_job(job)
+            groups = self.groups_by_job[job.job_id]
+        return groups
 
     def _striped_sids(
         self, job: MulticastJob, dc: str

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.net.background import BackgroundTraffic, delay_inflation
+from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import (
     CycleCache,
     DecisionReuseState,
@@ -665,18 +666,18 @@ class ClusterView:
     baselines deliberately use only slices of it (their local views).
 
     **Ownership**: the view borrows the simulator's live structures —
-    ``bulk_capacities``, the pending-delivery maps, and the partial-bytes
-    map are *not* copied. A view is valid for the cycle it was built for;
+    ``bulk_capacities``, the partial-bytes map and the candidate table
+    are *not* copied. A view is valid for the cycle it was built for;
     strategies must not mutate these mappings or hold a view across
     cycles (the next cycle reuses and mutates them in place).
 
-    The simulator also threads in its pending bookkeeping (``pending`` /
-    ``blocks_by_id``) and its persistent :class:`CycleCache`, so
-    ``pending_deliveries`` iterates only still-missing entries and the
-    source/path queries are memoized. Without the pending maps (shard
-    mirror and speculation views) ``pending_deliveries`` scans every
-    (destination DC, block) pair, with identical results; a view built
-    without a cache gets a fresh one.
+    The simulator also threads in its persistent :class:`CycleCache`, so
+    the source/path queries are memoized, and its
+    :class:`~repro.net.candidates.CandidateTable`, the static (block,
+    assigned server) arrays that ``pending_deliveries`` and the
+    scheduler gather against the store's possession matrix. A view
+    built without either gets a fresh cache, and a table over its
+    store's live matrix on first use (:meth:`candidate_table`).
     """
 
     def __init__(
@@ -692,11 +693,8 @@ class ClusterView:
         controller_available: bool,
         partial_bytes: Mapping[Tuple[BlockId, str], float],
         failed_links: frozenset = frozenset(),
-        pending: Optional[Mapping[Tuple[str, str], Set[Tuple[BlockId, str]]]] = None,
-        blocks_by_id: Optional[Mapping[BlockId, Block]] = None,
         cache: Optional[CycleCache] = None,
-        pending_order: Optional[Dict[Tuple[str, str], List[Tuple[BlockId, str]]]] = None,
-        candidates: Optional["CandidateTableLike"] = None,
+        candidates: Optional[CandidateTable] = None,
     ) -> None:
         self.topology = topology
         self.store = store
@@ -709,21 +707,8 @@ class ClusterView:
         self.controller_available = controller_available
         self.failed_links = frozenset(failed_links)
         self._partial = partial_bytes
-        self._pending_map = pending
-        self._blocks_by_id = blocks_by_id
         self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
-        # Ordered iteration hint for the pending map (see
-        # pending_deliveries) plus the exactness witness: while the store
-        # object is this very one and its epoch is unchanged since view
-        # construction, the pending map is exact and the per-entry
-        # possession re-check is skipped. Any out-of-band store mutation
-        # bumps the epoch and drops the view back to the re-checking path.
-        self._pending_order = pending_order
-        self._map_store = store
-        self._map_epoch = getattr(store, "epoch", -1)
-        # Static candidate arrays for the scheduling kernel (see
-        # repro.net.candidates); the scheduler builds one when None.
         self._candidates = candidates
 
     def agent_is_up(self, server_id: str) -> bool:
@@ -752,11 +737,8 @@ class ClusterView:
             controller_available=self.controller_available,
             partial_bytes=self._partial,
             failed_links=self.failed_links,
-            pending=self._pending_map,
-            blocks_by_id=self._blocks_by_id,
             cache=self._cache,
-            pending_order=self._pending_order,
-            candidates=self._candidates,
+            candidates=self.candidate_table(),
         )
         return clone
 
@@ -798,56 +780,48 @@ class ClusterView:
         of ``space`` (see :func:`buffered_bytes`)."""
         return buffered_bytes(self._partial, space, gids, sids)
 
+    def candidate_table(self) -> CandidateTable:
+        """The static candidate arrays this view's deliveries are read from.
+
+        The simulator and the shard mirrors hand in their own table; any
+        other view (or one whose table belongs to another matrix) builds
+        one over its store's live matrix on first use. A speculation
+        overlay shares the live matrix's id space, so its view reads the
+        live matrix's table. Jobs enter the table on first use
+        (:meth:`CandidateTable.groups`).
+        """
+        table = self._candidates
+        matrix = self.store.matrix.base
+        if table is None or table.matrix is not matrix:
+            table = self._candidates = CandidateTable((), matrix)
+        return table
+
     def pending_deliveries(
         self, job: MulticastJob
     ) -> List[Tuple[Block, str, str]]:
         """Undelivered (block, dst_dc, assigned dst server) triples.
 
-        With the simulator's pending map attached this iterates only the
-        still-missing entries, in ascending block-index order (the scan
-        order of the fallback); otherwise it scans every (destination DC,
-        block) pair against the store. The order list is a shared
-        iteration hint compacted lazily against the live set, so no
-        per-cycle sort is needed.
+        One possession gather per destination DC over the candidate
+        table's rows, in ``job.dst_dcs`` order and ascending block index.
+        Rows the scheduler compacted away are delivered already; the
+        rest are re-tested here, against this view's store (the live
+        matrix or a speculation overlay of it).
         """
+        matrix = self.store.matrix
+        names = matrix.server_names
+        blocks = job.blocks
         pending: List[Tuple[Block, str, str]] = []
-        pending_map = self._pending_map
-        order_map = self._pending_order
-        blocks_by_id = self._blocks_by_id
-        store = self.store
-        # Exactness: the simulator discards entries on every delivery, so
-        # while the store is untouched otherwise (same object, same
-        # epoch) set membership alone decides pending-ness. A store swapped
-        # in after construction or an out-of-band mutation (epoch bump)
-        # drops us to the re-checking path.
-        exact = store is self._map_store and (
-            getattr(store, "epoch", -2) == self._map_epoch
-        )
-        for dc in job.dst_dcs:
-            key = (job.job_id, dc)
-            entries = pending_map.get(key) if pending_map is not None else None
-            if entries is None or blocks_by_id is None or order_map is None:
-                for block in job.blocks:
-                    server = job.assigned_server(dc, block.block_id)
-                    if not self.store.has(server, block.block_id):
-                        pending.append((block, dc, server))
+        for group in self.candidate_table().groups(job):
+            if group.is_relay:
                 continue
-            order = order_map[key]
-            if len(order) > 2 * len(entries):
-                order = [entry for entry in order if entry in entries]
-                order_map[key] = order
-            if exact:
-                for entry in order:
-                    if entry in entries:
-                        pending.append(
-                            (blocks_by_id[entry[0]], dc, entry[1])
-                        )
-            else:
-                for entry in order:
-                    if entry in entries:
-                        bid, server = entry
-                        if not store.has(server, bid):
-                            pending.append((blocks_by_id[bid], dc, server))
+            rows = group.alive
+            sids = group.dst_sids[rows]
+            missing = ~matrix.test_many(sids, group.gids[rows])
+            dc = group.dc
+            for index, sid in zip(
+                group.indices[rows[missing]].tolist(), sids[missing].tolist()
+            ):
+                pending.append((blocks[index], dc, names[sid]))
         return pending
 
     def eligible_sources(self, block_id: BlockId) -> List[str]:
@@ -925,6 +899,13 @@ class Simulation:
 
         if not self.jobs:
             raise ValueError("need at least one job")
+        # Job lookup for the delivery bookkeeping; completion is tracked
+        # per job id, so ids must be unique.
+        self._jobs_by_id: Dict[str, MulticastJob] = {}
+        for job in self.jobs:
+            if job.job_id in self._jobs_by_id:
+                raise ValueError(f"duplicate job id {job.job_id!r}")
+            self._jobs_by_id[job.job_id] = job
         server_dc = {s.server_id: s.dc for s in topology.servers.values()}
         self.store = PossessionIndex(server_dc)
         for job in self.jobs:
@@ -938,57 +919,43 @@ class Simulation:
 
         # (block_id, dst_server) -> bytes buffered so far.
         self._partial: Dict[Tuple[BlockId, str], float] = {}
-        # Pending (job, dc) -> set of (block_id, server) still missing,
-        # plus an ordered list of the same entries (ascending block index,
-        # the full-scan order). The set is the source of truth (delivery
-        # bookkeeping discards from it); the list is an iteration hint the view
-        # compacts lazily, so pending iteration needs no per-cycle sort.
-        self._pending: Dict[Tuple[str, str], Set[Tuple[BlockId, str]]] = {}
-        self._pending_order: Dict[
-            Tuple[str, str], List[Tuple[BlockId, str]]
-        ] = {}
-        # (job, server) -> number of shard blocks still missing.
-        self._server_missing: Dict[Tuple[str, str], int] = {}
-        for job in self.jobs:
-            for dc in job.dst_dcs:
-                ordered: List[Tuple[BlockId, str]] = []
-                for block in job.blocks:
-                    server = job.assigned_server(dc, block.block_id)
-                    if self.store.has(server, block.block_id):
-                        continue  # pre-seeded copies count as delivered
-                    ordered.append((block.block_id, server))
-                    key = (job.job_id, server)
-                    self._server_missing[key] = self._server_missing.get(key, 0) + 1
-                self._pending[(job.job_id, dc)] = set(ordered)
-                self._pending_order[(job.job_id, dc)] = ordered
-
         self._blocks_by_id: Dict[BlockId, Block] = {}
         # Block size per column id of the store's matrix, grown lazily by
         # _block_sizes as the matrix interns blocks.
         self._gid_sizes = np.empty(0)
-        self._origin_dc: Dict[str, str] = {}
-        # Job lookup for the delivery bookkeeping. First-wins, should
-        # duplicate job ids ever appear.
-        self._jobs_by_id: Dict[str, MulticastJob] = {}
         for job in self.jobs:
-            self._origin_dc[job.job_id] = job.src_dc
-            self._jobs_by_id.setdefault(job.job_id, job)
             for block in job.blocks:
                 self._blocks_by_id[block.block_id] = block
 
-        # Static candidate arrays for the vectorized scheduling kernel:
-        # every (block, destination/relay DC) pair of every job, as
-        # parallel int arrays. Built once, after seeding (so pre-seeded
-        # copies compact out on the first cycle's gather). Skipped when
-        # the strategy decides against partition-scoped shard mirrors
-        # (BDSController with shards > 1): the mirrors build their own
-        # shard-scoped tables, O(pairs/shards) each, speculated cycles
-        # included, so a global O(pairs) build would be dead weight.
-        self._cand_table = None
-        if not getattr(strategy, "uses_shard_mirrors", False):
-            from repro.net.candidates import CandidateTable
-
-            self._cand_table = CandidateTable(self.jobs, self.store.matrix)
+        # Static candidate arrays: every (block, destination/relay DC)
+        # pair of every job, with its assigned server, as parallel int
+        # arrays (see repro.net.candidates). Built once, after seeding;
+        # the scheduler and pending_deliveries gather possession through
+        # it, and shard mirrors build their own.
+        self._cand_table = CandidateTable(self.jobs, self.store.matrix)
+        # Completion counters: assigned deliveries still missing per
+        # (job, destination DC) and per (job, destination server), one
+        # possession gather per destination group. Pre-seeded copies on
+        # an assigned server count as delivered. The server keys follow
+        # each DC's shard order (job.destination_servers).
+        self._dc_missing: Dict[Tuple[str, str], int] = {}
+        self._server_missing: Dict[Tuple[str, str], int] = {}
+        matrix = self.store.matrix
+        names = matrix.server_names
+        for job in self.jobs:
+            for group in self._cand_table.groups(job):
+                if group.is_relay:
+                    continue
+                sids = group.dst_sids
+                missing = ~matrix.test_many(sids, group.gids)
+                self._dc_missing[(job.job_id, group.dc)] = int(
+                    np.count_nonzero(missing)
+                )
+                left = np.bincount(sids[missing], minlength=matrix.num_servers)
+                for sid in dict.fromkeys(sids.tolist()):
+                    self._server_missing[(job.job_id, names[sid])] = int(
+                        left[sid]
+                    )
 
         # The persistent per-cycle query cache and the memoized capacity
         # maps (see _bulk_capacities).
@@ -1186,10 +1153,7 @@ class Simulation:
             failed_links=frozenset(self.failures.failed_links)
             if self.failures
             else frozenset(),
-            pending=self._pending,
-            blocks_by_id=self._blocks_by_id,
             cache=self._cycle_cache,
-            pending_order=self._pending_order,
             candidates=self._cand_table,
         )
 
@@ -1232,13 +1196,13 @@ class Simulation:
         started = _time.perf_counter()
 
         # Pre-seeded copies may have satisfied shards before the run starts.
+        for key, missing in self._server_missing.items():
+            if missing == 0:
+                server_completion[key] = 0.0
+        for key, missing in self._dc_missing.items():
+            if missing == 0:
+                dc_completion[key] = 0.0
         for job in self.jobs:
-            for dc in job.dst_dcs:
-                for server in job.destination_servers(dc):
-                    if self._server_missing.get((job.job_id, server), 0) == 0:
-                        server_completion[(job.job_id, server)] = 0.0
-                if not self._pending[(job.job_id, dc)]:
-                    dc_completion[(job.job_id, dc)] = 0.0
             if all((job.job_id, dc) in dc_completion for dc in job.dst_dcs):
                 job_completion[job.job_id] = 0.0
 
@@ -1393,10 +1357,7 @@ class Simulation:
                     controller_available=controller_ok,
                     partial_bytes=self._partial,
                     failed_links=failed_links,
-                    pending=self._pending,
-                    blocks_by_id=self._blocks_by_id,
                     cache=self._cycle_cache,
-                    pending_order=self._pending_order,
                     candidates=self._cand_table,
                 )
                 decide_started = _time.perf_counter()
@@ -1479,7 +1440,7 @@ class Simulation:
             # Completed transfers queue up during the budget loop and land
             # on the store/bookkeeping in one grouped pass afterwards. The
             # budget loop never reads anything that pass mutates (store,
-            # pending maps, completion dicts), so deferring the
+            # completion counters and dicts), so deferring the
             # application is order-equivalent.
             events: List[Tuple[str, Block, str, str, float]] = []
             current_pairs: Set[Tuple[str, str]] = set()
@@ -1859,42 +1820,42 @@ class Simulation:
         """Apply one cycle's completed transfers as a grouped pass.
 
         Two steps: (a) one batched possession and provenance update via
-        ``store.record_deliveries``, and (b) the pending/server-missing/
-        completion bookkeeping, replayed per event in delivery order. The
-        split is exact: the bookkeeping below never reads the store, so
-        landing every bit first is indistinguishable from interleaving
-        per delivery, and duplicate deliveries still run their
-        (idempotent) bookkeeping.
+        ``store.record_deliveries``, and (b) the completion counters,
+        replayed per event in delivery order. An event counts only when
+        it placed a new copy (a fresh record: duplicates and repeats
+        within the batch come back ``None``) on the block's assigned
+        server in one of the job's destination DCs; possession is
+        monotone during a run, so each assigned delivery counts once.
         """
-        origin = self._origin_dc
-        self.store.record_deliveries(
+        jobs_by_id = self._jobs_by_id
+        records = self.store.record_deliveries(
             [
-                (block, src, dst, when, origin[job_id])
+                (block, src, dst, when, jobs_by_id[job_id].src_dc)
                 for job_id, block, src, dst, when in events
             ]
         )
         dc_of = self.store.dc_of
-        pending_map = self._pending
+        dc_missing = self._dc_missing
         server_missing = self._server_missing
-        jobs_by_id = self._jobs_by_id
-        for job_id, block, _src, dst, when in events:
+        for (job_id, block, _src, dst, when), record in zip(events, records):
+            if record is None:
+                continue  # the destination already held the block
             dst_dc = dc_of(dst)
-            bid = block.block_id
-            pending = pending_map.get((job_id, dst_dc))
-            if pending is None:
-                continue  # delivery to a relay DC: not completion-tracked
-            entry = (bid, dst)
-            if entry not in pending:
+            dkey = (job_id, dst_dc)
+            left = dc_missing.get(dkey)
+            if left is None:
+                continue  # not a destination DC: not completion-tracked
+            job = jobs_by_id[job_id]
+            if job.assigned_server(dst_dc, block.block_id) != dst:
                 continue  # landed on a non-assigned server of a dest DC
-            pending.discard(entry)
             skey = (job_id, dst)
             remaining = server_missing[skey] - 1
             server_missing[skey] = remaining
             if remaining == 0:
                 server_completion[skey] = when
-            if not pending:
-                dc_completion[(job_id, dst_dc)] = when
-                job = jobs_by_id[job_id]
+            dc_missing[dkey] = left - 1
+            if left == 1:
+                dc_completion[dkey] = when
                 if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
                     job_completion[job_id] = max(
                         dc_completion[(job_id, dc)] for dc in job.dst_dcs
@@ -1912,12 +1873,6 @@ class OverlayStrategyLike:
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         raise NotImplementedError
-
-
-class CandidateTableLike:
-    """Duck-type of :class:`repro.net.candidates.CandidateTable`."""
-
-    groups_by_job: Dict[str, List] = {}
 
 
 class ControllerReplicaSetLike:

@@ -7,6 +7,10 @@ here as the oracle:
 
 * :func:`scalar_rarest_first` — per-candidate store queries and one tuple
   sort — for the kernel: same selections in the same order;
+* :func:`scan_pending` — a ``store.has`` scan of every (destination DC,
+  block) pair — for :meth:`ClusterView.pending_deliveries` over the
+  live matrix, speculation overlays, partition clones and shard
+  mirrors;
 * :func:`name_interned_rows` — rows interned by name from
   ``view.eligible_sources`` — for the router's row build: same
   directives;
@@ -26,12 +30,16 @@ from typing import Dict, List
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.runner import make_strategy
 from repro.core import routing
+from repro.core.config import BDSConfig
 from repro.core.decisions import ScheduledBlock
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
+from repro.core.shardexec import ShardFeed, ShardMirror
 from repro.core.speculation import (
     DeliverySpeculator,
     SpeculatedDelivery,
@@ -43,6 +51,23 @@ from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import DeliveryRecord, PossessionIndex
 from repro.utils.units import MB, MBps
+
+
+def scan_pending(view, job):
+    """Reference for ``ClusterView.pending_deliveries``: a full scan.
+
+    Every (destination DC, block) pair whose assigned server lacks the
+    block per ``view.store.has``, in ``job.dst_dcs`` order and ascending
+    block index.
+    """
+    store = view.store
+    pending = []
+    for dc in job.dst_dcs:
+        for block in job.blocks:
+            server = job.assigned_server(dc, block.block_id)
+            if not store.has(server, block.block_id):
+                pending.append((block, dc, server))
+    return pending
 
 
 def scalar_rarest_first(view, max_blocks_per_cycle=0, use_relays=True):
@@ -58,7 +83,7 @@ def scalar_rarest_first(view, max_blocks_per_cycle=0, use_relays=True):
     failed = view.failed_agents
     keyed = []
     for job in view.jobs:
-        pending = [(b, dc, s, False) for b, dc, s in view.pending_deliveries(job)]
+        pending = [(b, dc, s, False) for b, dc, s in scan_pending(view, job)]
         if use_relays:
             for dc in job.relay_dcs:
                 for block in job.blocks:
@@ -667,3 +692,112 @@ class TestSpeculationOverlay:
         real = scheduler.select(view)
         view._candidates = None
         assert real == RarestFirstScheduler().select(view)
+
+
+@st.composite
+def _possession_states(draw):
+    """A bound scenario plus random possession: pre-seeded copies, two
+    delivery batches, speculated copies and extra failed agents, as
+    index sets into the (server, block) pairs."""
+    num_dcs = draw(st.integers(min_value=3, max_value=4))
+    topo = Topology.full_mesh(
+        num_dcs=num_dcs,
+        servers_per_dc=draw(st.integers(min_value=1, max_value=3)),
+        wan_capacity=40 * MBps,
+        uplink=5 * MBps,
+    )
+    dcs = [f"dc{i}" for i in range(num_dcs)]
+    jobs = []
+    for j in range(draw(st.integers(min_value=1, max_value=2))):
+        src = draw(st.sampled_from(dcs))
+        others = [d for d in dcs if d != src]
+        dsts = draw(
+            st.lists(st.sampled_from(others), min_size=1, unique=True)
+        )
+        spare = [d for d in others if d not in dsts]
+        job = MulticastJob(
+            job_id=f"job{j}",
+            src_dc=src,
+            dst_dcs=tuple(dsts),
+            relay_dcs=tuple(spare[: draw(st.integers(0, 1))]),
+            total_bytes=draw(st.integers(min_value=1, max_value=9)) * 4 * MB,
+            block_size=4 * MB,
+        )
+        job.bind(topo)
+        jobs.append(job)
+    servers = sorted(topo.servers)
+    pairs = [
+        (server, job, block)
+        for job in jobs
+        for block in job.blocks
+        for server in servers
+    ]
+    subset = st.sets(st.integers(min_value=0, max_value=len(pairs) - 1))
+    picks = [
+        [pairs[i] for i in sorted(draw(subset))] for _ in range(4)
+    ]
+    failed = draw(st.sets(st.sampled_from(servers)))
+    return topo, jobs, picks, failed
+
+
+def _deliver(sim, picks):
+    """Land the picked copies (the source only feeds provenance)."""
+    sim.store.record_deliveries(
+        [
+            (block, server, server, 0.0, job.src_dc)
+            for server, job, block in picks
+        ]
+    )
+
+
+class TestPendingDeliveriesOracle:
+    """``pending_deliveries`` ≡ the ``store.has`` scan, on every kind of
+    view: the simulator's, a partition clone, a speculation overlay and
+    a shard mirror's — also after the scheduler compacted the tables."""
+
+    @given(state=_possession_states())
+    @settings(max_examples=60, deadline=None)
+    def test_pending_matches_scan(self, state):
+        topo, jobs, (seeded, first, second, speculated), failed = state
+        pre_seeded: Dict[str, list] = {}
+        for server, _job, block in seeded:
+            pre_seeded.setdefault(server, []).append(block)
+        sim = Simulation(
+            topology=topo,
+            jobs=jobs,
+            strategy=make_strategy("bds", seed=0),
+            pre_seeded=pre_seeded,
+        )
+        config = BDSConfig()
+        feed = ShardFeed(1, lambda _job_id: 0)
+        mirror = ShardMirror(topo, config)
+
+        _deliver(sim, first)
+        view = sim.snapshot_view()
+        payload = feed.payload(view, 0, view.jobs, config, False, [])
+        mirror.apply(payload)
+        # Compacts whichever candidate groups the gathers find >50% dead.
+        RarestFirstScheduler().select(view)
+        RarestFirstScheduler().select(mirror.view(payload))
+
+        _deliver(sim, second)
+        view = sim.snapshot_view()
+        payload = feed.payload(view, 0, view.jobs, config, False, [])
+        mirror.apply(payload)
+        extra = [
+            SpeculatedDelivery(block.block_id, server, "")
+            for server, _job, block in speculated
+        ]
+        reference = SpeculatedView(view, extra)
+        reference.store = SpeculatedStoreOracle(view.store, extra)
+        checks = [
+            (view, view),
+            (view.with_extra_failed_agents(failed), view),
+            (SpeculatedView(view, extra), reference),
+            (mirror.view(payload), view),
+        ]
+        for subject, oracle in checks:
+            for job in jobs:
+                assert subject.pending_deliveries(job) == scan_pending(
+                    oracle, job
+                )

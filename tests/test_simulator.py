@@ -231,6 +231,57 @@ class TestCompletionTracking:
         assert ("j", "dc1") in result.dc_completion
         assert result.job_completion["j"] == result.dc_completion[("j", "dc1")]
 
+    def test_same_block_twice_in_one_cycle_counts_once(self):
+        # Block 0 reaches its assigned server from two sources in cycle
+        # 0; block 1 only goes out from cycle 1. Counting block 0 twice
+        # would complete dc1 in cycle 0.
+        topo = two_dc_topology(uplink=100 * MBps)
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",),
+            total_bytes=20 * MB, block_size=10 * MB,
+        )
+        job.bind(topo)
+        b0, b1 = (b.block_id for b in job.blocks)
+
+        def decide(view):
+            if view.cycle == 0:
+                return [
+                    TransferDirective("j", (b0,), src, "dc1-s0")
+                    for src in ("dc0-s0", "dc0-s1")
+                ]
+            return [TransferDirective("j", (b1,), "dc0-s1", "dc1-s1")]
+
+        sim = Simulation(
+            topo,
+            [job],
+            ScriptedStrategy(decide),
+            SimConfig(),
+            pre_seeded={"dc0-s1": [job.blocks[0]]},
+        )
+        result = sim.run()
+        assert result.all_complete
+        assert result.server_completion[("j", "dc1-s0")] <= 3.0
+        assert result.dc_completion[("j", "dc1")] == (
+            result.server_completion[("j", "dc1-s1")]
+        )
+        assert result.dc_completion[("j", "dc1")] > 3.0
+        assert sum(r.dst_server == "dc1-s0" for r in result.store.deliveries) == 1
+
+    def test_duplicate_job_ids_rejected(self):
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=1 * GB, uplink=10 * MBps
+        )
+        jobs = []
+        for dst in ("dc1", "dc2"):
+            job = MulticastJob(
+                job_id="same", src_dc="dc0", dst_dcs=(dst,),
+                total_bytes=8 * MB, block_size=4 * MB,
+            )
+            job.bind(topo)
+            jobs.append(job)
+        with pytest.raises(ValueError, match="duplicate job id 'same'"):
+            Simulation(topo, jobs, ScriptedStrategy(lambda v: []))
+
     def test_job_arrival_delays_start(self):
         topo = two_dc_topology()
         job = one_block_job(topo)
@@ -386,6 +437,74 @@ class TestPreSeeding:
         ).run()
         assert result.all_complete
         assert result.completion_time("j") == 0.0
+
+    def test_one_pre_seeded_shard_completes_its_server_only(self):
+        topo = two_dc_topology()
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",),
+            total_bytes=20 * MB, block_size=10 * MB,
+        )
+        job.bind(topo)
+        result = Simulation(
+            topo,
+            [job],
+            ScriptedStrategy(lambda v: []),
+            SimConfig(max_cycles=2),
+            pre_seeded={"dc1-s0": [job.blocks[0]]},
+        ).run()
+        assert result.server_completion == {("j", "dc1-s0"): 0.0}
+        assert result.dc_completion == {}
+        assert not result.all_complete
+
+    @pytest.mark.parametrize("how", ["pre-seeded", "delivered"])
+    def test_copies_off_the_assigned_servers_count_for_nothing(self, how):
+        # Each block on the dc1 server it is *not* striped to, and on
+        # both servers of the relay DC dc2.
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=1 * GB, uplink=100 * MBps
+        )
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",), relay_dcs=("dc2",),
+            total_bytes=20 * MB, block_size=10 * MB,
+        )
+        job.bind(topo)
+        b0, b1 = job.blocks
+        off = {
+            "dc1-s0": [b1],
+            "dc1-s1": [b0],
+            "dc2-s0": [b0, b1],
+            "dc2-s1": [b0, b1],
+        }
+        origin = {b0: "dc0-s0", b1: "dc0-s1"}
+
+        def decide(view):
+            if how == "pre-seeded":
+                return []
+            return [
+                TransferDirective("j", (b.block_id,), origin[b], dst)
+                for dst, blocks in off.items()
+                for b in blocks
+            ]
+
+        sim = Simulation(
+            topo,
+            [job],
+            ScriptedStrategy(decide),
+            SimConfig(max_cycles=3),
+            pre_seeded=off if how == "pre-seeded" else None,
+        )
+        result = sim.run()
+        assert all(
+            result.store.has(dst, b.block_id)
+            for dst, blocks in off.items()
+            for b in blocks
+        )
+        assert sim.snapshot_view().pending_deliveries(job) == [
+            (b0, "dc1", "dc1-s0"),
+            (b1, "dc1", "dc1-s1"),
+        ]
+        assert result.server_completion == {}
+        assert result.dc_completion == {}
 
     def test_snapshot_view_reflects_state(self):
         topo = two_dc_topology()
